@@ -4,7 +4,8 @@
 //! Deliberately small: objects, arrays, strings, numbers, booleans and
 //! null — the subset the [`crate::Snapshot::write_jsonl`] schema emits.
 //! Integers up to `u64::MAX` parse losslessly into [`Json::Int`]; anything
-//! fractional or negative falls back to [`Json::Num`].
+//! fractional or negative falls back to [`Json::Num`]. Nesting is capped
+//! at [`MAX_DEPTH`], so hostile input cannot overflow the parser's stack.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -29,6 +30,13 @@ pub fn escape(s: &str) -> String {
     }
     out
 }
+
+/// Deepest array/object nesting [`parse`] accepts. The parser is
+/// recursive descent, so without a cap one line of `[[[…` could overflow
+/// the stack of whatever thread parses it (a serve connection thread, a
+/// JSONL or `check --json` reader). Every document this workspace writes
+/// nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,9 +104,10 @@ impl std::error::Error for ParseError {}
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on malformed input or trailing garbage.
+/// Returns a [`ParseError`] on malformed input, trailing garbage, or
+/// nesting deeper than [`MAX_DEPTH`] ("nesting too deep").
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -120,6 +129,8 @@ pub fn parse_lines(input: &str) -> Result<Vec<Json>, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -157,8 +168,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -166,6 +177,21 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        body: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let value = body(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
@@ -338,6 +364,20 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("nope").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_without_overflowing_the_stack() {
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        assert_eq!(err.at, MAX_DEPTH);
+        let err = parse(&"{\"a\":".repeat(100_000)).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        // Exactly MAX_DEPTH levels still parse.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let too_deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(parse(&too_deep).unwrap_err().message, "nesting too deep");
     }
 
     #[test]

@@ -32,8 +32,11 @@ impl Client {
     /// Propagates socket errors; a connection closed before the response
     /// is [`io::ErrorKind::UnexpectedEof`].
     pub fn request(&mut self, line: &str) -> io::Result<String> {
-        writeln!(self.stream, "{line}")?;
-        self.stream.flush()?;
+        // One write per request: the line and its newline in one segment.
+        let mut framed = String::with_capacity(line.len() + 1);
+        framed.push_str(line);
+        framed.push('\n');
+        self.stream.write_all(framed.as_bytes())?;
         let mut response = String::new();
         if self.reader.read_line(&mut response)? == 0 {
             return Err(io::Error::new(

@@ -51,4 +51,4 @@ mod server;
 pub use client::Client;
 pub use protocol::{PlanSpec, ProtocolError, Request};
 pub use queue::{BoundedQueue, PushError};
-pub use server::{ServeConfig, Server};
+pub use server::{ServeConfig, Server, MAX_LINE_BYTES};

@@ -2,23 +2,30 @@
 //!
 //! ```text
 //! clients ──TCP──▶ connection threads ──BoundedQueue──▶ workers
-//!                       │  (parse, admission control)      │
-//!                       ◀──────── mpsc reply channel ──────┘
+//!                  (parse, cache hits,                    │
+//!                   admission control)                    │
+//!                       ◀──────── mpsc reply channel ─────┘
 //! ```
 //!
 //! Every thread is scoped ([`std::thread::scope`]), so [`Server::run`]
 //! returns only after all connections and workers have exited — no
 //! detached threads outlive the server. Control requests (`ping`,
-//! `stats`, `shutdown`) are answered inline by the connection thread;
-//! plan requests pass through the bounded queue so a planner stampede
-//! degrades into fast `busy` rejections rather than unbounded memory.
+//! `stats`, `shutdown`) and plan requests whose key is already cached
+//! are answered inline by the connection thread; only cache misses pass
+//! through the bounded queue, so a planner stampede degrades into fast
+//! `busy` rejections rather than unbounded memory.
+//!
+//! Framing: accepted sockets run with `TCP_NODELAY`, and a connection
+//! collects the replies to every complete line of one read into a single
+//! buffer that goes out in one `write_all` — one segment per reply batch,
+//! never a response and its `\n` split across two writes.
 
 use crate::protocol::{self, PlanSpec, Request};
 use crate::queue::{BoundedQueue, PushError};
-use dmf_engine::{PlanCache, PlanKey, StreamingEngine, DEFAULT_PLAN_CACHE_CAPACITY};
+use dmf_engine::{PlanCache, PlanKey, StreamPlan, StreamingEngine, DEFAULT_PLAN_CACHE_CAPACITY};
 use dmf_obs::Recorder;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -28,6 +35,16 @@ const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Per-connection socket read timeout; bounds shutdown latency.
 const READ_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Longest request line a connection may send, in bytes (without its
+/// `\n`). A longer line — terminated or not — is answered `bad_request`
+/// and the connection is hung up, so one client that never sends a
+/// newline cannot grow the server's memory without bound.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Bytes one socket read may take; the replies to the complete lines it
+/// holds go out together in one write.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,9 +68,10 @@ pub struct ServeConfig {
     /// instead of being planned; `"deadline_ms"` on the request overrides
     /// it.
     pub default_deadline_ms: u64,
-    /// Slow-request threshold, milliseconds: a queued request whose total
-    /// latency (queue wait + work) reaches it is logged to stderr with its
-    /// trace ID and counted under `serve.slow`. `None` disables the log.
+    /// Slow-request threshold, milliseconds: a plan or stall request whose
+    /// latency (see `serve.latency` in `DESIGN.md` §13) reaches it is
+    /// logged to stderr with its trace ID and counted under `serve.slow`.
+    /// `None` disables the log.
     pub slow_ms: Option<u64>,
 }
 
@@ -78,8 +96,11 @@ impl Default for ServeConfig {
 const SERVE_SPAN_CAPACITY: usize = 8_192;
 
 enum Work {
+    /// A plan request whose key missed the cache.
     Plan(PlanSpec),
-    Stall { ms: u64 },
+    Stall {
+        ms: u64,
+    },
 }
 
 struct Job {
@@ -198,36 +219,24 @@ impl Server {
         }
     }
 
-    /// Reads newline-delimited requests off one socket and writes one
-    /// response line per request. Partial lines survive read timeouts —
-    /// the buffer is only consumed up to the last `\n`.
+    /// Reads newline-delimited requests off one socket and answers each
+    /// with one response line. Partial lines survive read timeouts: only
+    /// the newly read bytes are scanned for `\n`, and complete lines are
+    /// consumed by offset. The replies to every complete line of one read
+    /// are collected and sent with a single `write_all` once the read
+    /// buffer holds no further complete line.
     fn handle_connection(&self, mut stream: TcpStream, queue: &BoundedQueue<Job>) {
-        if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
+        if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() || stream.set_nodelay(true).is_err()
+        {
             return;
         }
-        let mut chunk = [0u8; 4096];
+        let mut chunk = vec![0u8; READ_CHUNK];
         let mut pending: Vec<u8> = Vec::new();
-        'conn: loop {
-            match stream.read(&mut chunk) {
+        let mut out: Vec<u8> = Vec::new();
+        loop {
+            let n = match stream.read(&mut chunk) {
                 Ok(0) => break,
-                Ok(n) => {
-                    pending.extend_from_slice(&chunk[..n]);
-                    while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                        let line_bytes: Vec<u8> = pending.drain(..=pos).collect();
-                        let line = String::from_utf8_lossy(&line_bytes);
-                        let line = line.trim();
-                        if line.is_empty() {
-                            continue;
-                        }
-                        let (response, stop) = self.process_line(line, queue);
-                        if writeln!(stream, "{response}").and_then(|()| stream.flush()).is_err() {
-                            break 'conn;
-                        }
-                        if stop {
-                            break 'conn;
-                        }
-                    }
-                }
+                Ok(n) => n,
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
@@ -235,20 +244,74 @@ impl Server {
                     if self.shutting_down() {
                         break;
                     }
+                    continue;
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break,
+            };
+            // Bytes before `scan` were already searched on an earlier read.
+            let mut scan = pending.len();
+            pending.extend_from_slice(&chunk[..n]);
+            let mut consumed = 0;
+            let (mut overlong, mut stop) = (false, false);
+            while let Some(offset) = pending[scan..].iter().position(|&b| b == b'\n') {
+                let line = &pending[consumed..scan + offset];
+                consumed = scan + offset + 1;
+                scan = consumed;
+                if line.len() > MAX_LINE_BYTES {
+                    overlong = true;
+                    break;
+                }
+                let line = String::from_utf8_lossy(line);
+                let line = line.trim();
+                if line.is_empty() {
+                    continue;
+                }
+                let (response, hang_up) = self.process_line(line, queue);
+                push_line(&mut out, &response);
+                if hang_up {
+                    stop = true;
+                    break;
+                }
+            }
+            pending.drain(..consumed);
+            if overlong || (!stop && pending.len() > MAX_LINE_BYTES) {
+                push_line(&mut out, &self.overlong_line_response());
+                stop = true;
+            }
+            if !out.is_empty() && stream.write_all(&out).is_err() {
+                break;
+            }
+            out.clear();
+            if stop {
+                // FIN after the last reply, so the client reads it and then
+                // a clean EOF even if unread request bytes remain.
+                let _ = stream.shutdown(Shutdown::Write);
+                break;
             }
         }
+    }
+
+    /// The reply to a request line longer than [`MAX_LINE_BYTES`], after
+    /// which the connection is hung up.
+    fn overlong_line_response(&self) -> String {
+        self.recorder.count("serve.requests", 1);
+        self.recorder.count("serve.bad_request", 1);
+        protocol::error_response(
+            "bad_request",
+            &format!("request line longer than {MAX_LINE_BYTES} bytes; closing the connection"),
+        )
     }
 
     /// Turns one request line into one response line; the flag asks the
     /// connection loop to hang up (after a shutdown acknowledgement).
     ///
     /// Every request runs under a `serve_request` root span on the
-    /// connection thread; decoding is a `serve_decode` child, and queued
-    /// work joins the same tree from the worker thread (queue wait,
-    /// planning stages, encode) via the job's captured trace IDs.
+    /// connection thread; decoding is a `serve_decode` child and the plan
+    /// cache lookup a `serve_cache_lookup` child. A hit is encoded right
+    /// here (`serve_encode`); a miss joins the same tree from the worker
+    /// thread (queue wait, planning stages, encode) via the job's captured
+    /// trace IDs.
     fn process_line(&self, line: &str, queue: &BoundedQueue<Job>) -> (String, bool) {
         let root = self.recorder.span("serve_request");
         let (trace_id, root_id) = root.ids().unwrap_or((0, 0));
@@ -290,11 +353,32 @@ impl Server {
             }
             Ok(Request::Plan(spec)) => {
                 self.recorder.count("serve.op.plan", 1);
-                let deadline_ms = spec.deadline_ms;
-                (
-                    self.enqueue_and_wait(Work::Plan(spec), deadline_ms, queue, trace_id, root_id),
-                    false,
-                )
+                let admitted = Instant::now();
+                let key = PlanKey::new(&spec.config, &spec.ratio, spec.demand);
+                // The request's one counted cache lookup: a miss is planned
+                // by a worker that does not look the key up again.
+                let hit = {
+                    let _lookup = self.recorder.span("serve_cache_lookup");
+                    self.cache.lookup(&key)
+                };
+                let response = match hit {
+                    Some(plan) => {
+                        let response = self.plan_reply(&plan, &spec, &key, trace_id);
+                        self.record_latency(admitted.elapsed(), Duration::ZERO, trace_id);
+                        response
+                    }
+                    None => {
+                        let deadline_ms = spec.deadline_ms;
+                        self.enqueue_and_wait(
+                            Work::Plan(spec),
+                            deadline_ms,
+                            queue,
+                            trace_id,
+                            root_id,
+                        )
+                    }
+                };
+                (response, false)
             }
             Ok(Request::Stall { ms }) => {
                 self.recorder.count("serve.op.stall", 1);
@@ -384,46 +468,44 @@ impl Server {
                 }
             };
             drop(adopted);
-            let total = job.enqueued.elapsed();
-            self.recorder.record_duration("serve.latency", total);
-            if let Some(limit) = self.config.slow_ms {
-                if total >= Duration::from_millis(limit) {
-                    self.recorder.count("serve.slow", 1);
-                    eprintln!(
-                        "slow request: trace={:016x} total={}ms queue_wait={}ms (threshold {limit}ms)",
-                        job.trace_id,
-                        total.as_millis(),
-                        waited.as_millis(),
-                    );
-                }
-            }
+            self.record_latency(job.enqueued.elapsed(), waited, job.trace_id);
             // The connection may have hung up while queued; nothing to do.
             let _ = job.reply.send(response);
         }
     }
 
-    /// Plans one request under a `serve_plan` span and encodes the
-    /// response under `serve_encode`; when the request asked for a trace,
-    /// the response embeds the request's `trace_id` and the stage
-    /// breakdown recorded so far.
+    /// Records one answered plan or stall request: its latency into the
+    /// `serve.latency` histogram and, past the slow threshold, the
+    /// slow-request log.
+    fn record_latency(&self, total: Duration, queue_wait: Duration, trace_id: u64) {
+        self.recorder.record_duration("serve.latency", total);
+        if let Some(limit) = self.config.slow_ms {
+            if total >= Duration::from_millis(limit) {
+                self.recorder.count("serve.slow", 1);
+                eprintln!(
+                    "slow request: trace={trace_id:016x} total={}ms queue_wait={}ms (threshold {limit}ms)",
+                    total.as_millis(),
+                    queue_wait.as_millis(),
+                );
+            }
+        }
+    }
+
+    /// Plans a cache miss under a `serve_plan` span — uncached, since the
+    /// connection thread already made the request's one lookup — stores
+    /// the plan in the cache and encodes the response.
     fn plan(&self, spec: &PlanSpec, trace_id: u64) -> String {
+        let key = PlanKey::new(&spec.config, &spec.ratio, spec.demand);
         let outcome = {
             let _planning = self.recorder.span("serve_plan");
-            let engine = StreamingEngine::new(spec.config).with_cache(Arc::clone(&self.cache));
-            engine.plan_shared(&spec.ratio, spec.demand)
-        };
-        let _encode = self.recorder.span("serve_encode");
-        match outcome {
-            Ok(plan) => {
-                self.recorder.count("serve.planned", 1);
-                let key = PlanKey::new(&spec.config, &spec.ratio, spec.demand);
-                if spec.trace {
-                    let stages = self.recorder.trace_spans(trace_id);
-                    protocol::plan_response_traced(&plan, key.fingerprint(), trace_id, &stages)
-                } else {
-                    protocol::plan_response(&plan, key.fingerprint())
-                }
+            let plan = StreamingEngine::new(spec.config).plan_shared(&spec.ratio, spec.demand);
+            if let Ok(plan) = &plan {
+                self.cache.store(key.clone(), Arc::clone(plan));
             }
+            plan
+        };
+        match outcome {
+            Ok(plan) => self.plan_reply(&plan, spec, &key, trace_id),
             Err(
                 e @ (dmf_engine::EngineError::Infeasible { .. }
                 | dmf_engine::EngineError::ZeroDemand),
@@ -438,6 +520,28 @@ impl Server {
                 self.recorder.count("serve.plan_failed", 1);
                 protocol::error_response("plan_failed", &e.to_string())
             }
+        }
+    }
+
+    /// Encodes a plan response under `serve_encode` and counts it under
+    /// `serve.planned` — the one encoder for cache hits (connection
+    /// thread) and misses (worker). When the request asked for a trace,
+    /// the response embeds the request's `trace_id` and the stage
+    /// breakdown recorded so far.
+    fn plan_reply(
+        &self,
+        plan: &StreamPlan,
+        spec: &PlanSpec,
+        key: &PlanKey,
+        trace_id: u64,
+    ) -> String {
+        let _encode = self.recorder.span("serve_encode");
+        self.recorder.count("serve.planned", 1);
+        if spec.trace {
+            let stages = self.recorder.trace_spans(trace_id);
+            protocol::plan_response_traced(plan, key.fingerprint(), trace_id, &stages)
+        } else {
+            protocol::plan_response(plan, key.fingerprint())
         }
     }
 
@@ -492,4 +596,10 @@ impl Server {
             cache.evictions,
         )
     }
+}
+
+/// Appends one response line, with its `\n`, to a connection's output.
+fn push_line(out: &mut Vec<u8>, response: &str) {
+    out.extend_from_slice(response.as_bytes());
+    out.push(b'\n');
 }

@@ -5,7 +5,9 @@
 use dmf_engine::{EngineConfig, PlanKey};
 use dmf_obs::json::{self, Json};
 use dmf_ratio::TargetRatio;
-use dmf_serve::{Client, ServeConfig, Server};
+use dmf_serve::{Client, ServeConfig, Server, MAX_LINE_BYTES};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 const PCR: &str = "2:1:1:1:1:1:9";
@@ -15,13 +17,20 @@ fn test_config() -> ServeConfig {
 }
 
 /// Runs `body` against a live server and asserts a clean drain: the
-/// shutdown op is sent by the harness, and `run` must return Ok.
+/// shutdown op is sent by the harness, and `run` must return Ok. A
+/// failing `body` still shuts the server down, so the test fails rather
+/// than hanging on the server thread.
 fn with_server(config: ServeConfig, body: impl FnOnce(&Server, std::net::SocketAddr)) {
     let server = Server::bind(config).unwrap();
     let addr = server.local_addr().unwrap();
     std::thread::scope(|s| {
         let handle = s.spawn(|| server.run());
-        body(&server, addr);
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&server, addr)));
+        if let Err(panic) = outcome {
+            server.request_shutdown();
+            std::panic::resume_unwind(panic);
+        }
         let mut control = Client::connect(addr).unwrap();
         let line = control.request(r#"{"op":"shutdown"}"#).unwrap();
         assert!(line.contains("\"shutdown\""), "unexpected shutdown ack: {line}");
@@ -354,5 +363,115 @@ fn shutdown_drains_queued_work_before_run_returns() {
         assert!(occupant.join().unwrap().contains("stalled"));
         let line = queued.join().unwrap();
         assert!(line.contains("\"tms\":27"), "queued plan lost in shutdown: {line}");
+    });
+}
+
+#[test]
+fn sequential_pings_and_hits_are_not_held_back_by_delayed_acks() {
+    with_server(test_config(), |_, addr| {
+        let mut client = Client::connect(addr).unwrap();
+        let plan = format!(r#"{{"op":"plan","ratio":"{PCR}","demand":20}}"#);
+        let cold = client.request(&plan).unwrap();
+        // One reply per round trip, each a whole line in one segment: a
+        // response written as line-then-newline on a Nagle socket waits
+        // for the client's delayed ACK (~40 ms) every time.
+        let started = Instant::now();
+        for _ in 0..20 {
+            assert_eq!(client.request(r#"{"op":"ping"}"#).unwrap(), r#"{"ok":true,"type":"pong"}"#);
+        }
+        for _ in 0..20 {
+            assert_eq!(client.request(&plan).unwrap(), cold, "a hit must match the miss");
+        }
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_secs(1), "40 sequential round trips took {elapsed:?}");
+    });
+}
+
+#[test]
+fn hits_are_answered_inline_and_misses_are_queued_once() {
+    with_server(test_config(), |server, addr| {
+        let mut client = Client::connect(addr).unwrap();
+        let a = format!(r#"{{"op":"plan","ratio":"{PCR}","demand":20}}"#);
+        let b = format!(r#"{{"op":"plan","ratio":"{PCR}","demand":22}}"#);
+        let first = client.request(&a).unwrap();
+        assert_eq!(client.request(&a).unwrap(), first, "hit and miss replies are byte-identical");
+        assert!(client.request(&b).unwrap().contains("\"ok\":true"));
+        let stats = client.request(r#"{"op":"stats"}"#).unwrap();
+        let v = json::parse(&stats).unwrap();
+        let stat = |name: &str| v.get(name).and_then(Json::as_u64);
+        assert_eq!(stat("cache_hits"), Some(1), "{stats}");
+        assert_eq!(stat("cache_misses"), Some(2), "{stats}");
+        assert_eq!(stat("planned"), Some(3), "{stats}");
+        assert_eq!(stat("enqueued"), Some(2), "only misses queue: {stats}");
+        assert_eq!(stat("dequeued"), Some(2), "{stats}");
+        assert_eq!(stat("latency_count"), Some(3), "hits enter serve.latency: {stats}");
+        assert_eq!(server.cache().stats().len, 2);
+    });
+}
+
+#[test]
+fn a_cache_hit_is_never_busy_even_with_the_queue_full() {
+    let config = ServeConfig { workers: 1, queue_depth: 1, ..test_config() };
+    with_server(config, |server, addr| {
+        let mut client = Client::connect(addr).unwrap();
+        let plan = format!(r#"{{"op":"plan","ratio":"{PCR}","demand":20}}"#);
+        let cold = client.request(&plan).unwrap();
+        std::thread::scope(|s| {
+            let occupant = s.spawn(move || {
+                Client::connect(addr).unwrap().request(r#"{"op":"stall","ms":500}"#).unwrap()
+            });
+            await_counter(server, "serve.dequeued", 2);
+            let queued = s.spawn(move || {
+                Client::connect(addr).unwrap().request(r#"{"op":"stall","ms":0}"#).unwrap()
+            });
+            await_counter(server, "serve.enqueued", 3);
+            // Worker busy, queue full: the cached key is still answered.
+            assert_eq!(client.request(&plan).unwrap(), cold);
+            assert_eq!(server.recorder().counter("serve.busy"), 0);
+            assert!(occupant.join().unwrap().contains("stalled"));
+            assert!(queued.join().unwrap().contains("stalled"));
+        });
+    });
+}
+
+#[test]
+fn an_unterminated_line_past_the_cap_is_rejected_and_hung_up() {
+    with_server(test_config(), |server, addr| {
+        let hostile = TcpStream::connect(addr).unwrap();
+        let mut writer = hostile.try_clone().unwrap();
+        std::thread::scope(|s| {
+            // 1 MiB without a newline; the server stops reading after the
+            // cap, so the tail of this write may fail — that is expected.
+            s.spawn(move || {
+                let _ = writer.write_all(&vec![b'x'; 1 << 20]);
+            });
+            let mut reader = BufReader::new(&hostile);
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let v = json::parse(line.trim()).unwrap();
+            assert_eq!(v.get("error").and_then(Json::as_str), Some("bad_request"), "{line}");
+            let message = v.get("message").and_then(Json::as_str).unwrap_or_default();
+            assert!(message.contains(&MAX_LINE_BYTES.to_string()), "{line}");
+            line.clear();
+            assert_eq!(reader.read_line(&mut line).unwrap(), 0, "expected EOF, got {line:?}");
+            // Another client on the same server is unaffected.
+            let mut other = Client::connect(addr).unwrap();
+            assert!(other.request(r#"{"op":"ping"}"#).unwrap().contains("pong"));
+        });
+        assert_eq!(server.recorder().counter("serve.bad_request"), 1);
+    });
+}
+
+#[test]
+fn deeply_nested_json_is_a_bad_request_and_the_connection_keeps_serving() {
+    with_server(test_config(), |server, addr| {
+        let mut client = Client::connect(addr).unwrap();
+        // Well under the line cap, far over the parser's nesting cap.
+        let line = client.request(&"[".repeat(50_000)).unwrap();
+        let v = json::parse(&line).unwrap();
+        assert_eq!(v.get("error").and_then(Json::as_str), Some("bad_request"), "{line}");
+        assert!(line.contains("nesting too deep"), "{line}");
+        assert!(client.request(r#"{"op":"ping"}"#).unwrap().contains("pong"));
+        assert_eq!(server.recorder().counter("serve.bad_request"), 1);
     });
 }

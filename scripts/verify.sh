@@ -19,6 +19,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --no-deps --workspace (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
+echo "==> bench_layers: fmt, clippy and unit tests (a package of its own, outside the workspace)"
+cargo fmt --manifest-path bench_layers/Cargo.toml --check
+cargo clippy --manifest-path bench_layers/Cargo.toml --all-targets -- -D warnings
+cargo test --release --manifest-path bench_layers/Cargo.toml
+
 echo "==> fault_sweep smoke (fixed seed, all five protocols must meet demand)"
 cargo run --release -q -p dmf-bench --bin fault_sweep -- --seed 42 --fault-rate 0.05 --trials 1 >/dev/null
 
