@@ -45,6 +45,7 @@ use dmf_mixalgo::{BaseAlgorithm, Template};
 use dmf_mixgraph::MixGraph;
 use dmf_ratio::TargetRatio;
 use dmf_sched::mixer_lower_bound;
+use std::collections::HashMap;
 
 /// A pipeline stage: a named unit of planning work advancing a
 /// [`PlanContext`].
@@ -274,7 +275,8 @@ impl Stage for Schedule {
 /// each fit the storage budget `q'` (one pass covers everything when
 /// unconstrained), appending them to the context. Drives stages 2–3
 /// through their own [`MetaStage`]s, so per-pass forest/schedule spans
-/// nest under this stage's span.
+/// nest under this stage's span. Under a budget, each candidate pass
+/// demand is built at most once per run and later passes reuse it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SplitPasses;
 
@@ -285,14 +287,14 @@ impl Stage for SplitPasses {
 
     fn run(&self, ctx: &mut PlanContext<'_>) -> Result<(), EngineError> {
         let mut remaining = ctx.demand;
+        let mut memo = Candidates::default();
         while remaining > 0 {
-            let pass_demand = match ctx.config.storage_limit {
-                None => remaining,
-                Some(limit) => max_pass_demand(ctx, remaining, limit)?,
+            let pass = match ctx.config.storage_limit {
+                None => build_pass(ctx, remaining)?,
+                Some(limit) => max_pass(ctx, &mut memo, remaining, limit)?,
             };
-            let pass = build_pass(ctx, pass_demand)?;
+            remaining = remaining.saturating_sub(pass.demand);
             ctx.passes.push(pass);
-            remaining = remaining.saturating_sub(pass_demand);
         }
         Ok(())
     }
@@ -309,26 +311,52 @@ fn build_pass(ctx: &mut PlanContext<'_>, demand: u64) -> Result<PassPlan, Engine
     ctx.candidate.take().ok_or_else(|| internal("schedule did not produce a pass"))
 }
 
-/// The paper's `D'`: the largest demand (up to `remaining`) whose
+/// What one [`SplitPasses`] run knows of its candidate passes. A pass is a
+/// pure function of its demand within one context, so the storage need of
+/// every built candidate is recorded and no candidate is built twice for
+/// the scan. Only the plans of chosen passes are kept (they repeat pass
+/// after pass); a fitting candidate that loses its scan is dropped, so
+/// memory stays flat however many demands a loose budget admits.
+#[derive(Default)]
+struct Candidates {
+    needed: HashMap<u64, usize>,
+    chosen: HashMap<u64, PassPlan>,
+}
+
+/// The paper's `D'` pass: the largest demand (up to `remaining`) whose
 /// single-pass schedule fits the storage budget.
-fn max_pass_demand(
+fn max_pass(
     ctx: &mut PlanContext<'_>,
+    memo: &mut Candidates,
     remaining: u64,
     limit: usize,
-) -> Result<u64, EngineError> {
-    let first = build_pass(ctx, remaining.min(2))?;
-    if first.storage_units() > limit {
-        return Err(EngineError::StorageInfeasible { limit, needed: first.storage_units() });
+) -> Result<PassPlan, EngineError> {
+    // The scan rises, so the last fitting pass it builds is its largest.
+    let mut built = None;
+    let mut storage = |ctx: &mut PlanContext<'_>, demand: u64| -> Result<usize, EngineError> {
+        if let Some(&needed) = memo.needed.get(&demand) {
+            return Ok(needed);
+        }
+        let pass = build_pass(ctx, demand)?;
+        let needed = pass.storage_units();
+        memo.needed.insert(demand, needed);
+        if needed <= limit {
+            built = Some(pass);
+        }
+        Ok(needed)
+    };
+    let mut best = remaining.min(2);
+    let first = storage(ctx, best)?;
+    if first > limit {
+        return Err(EngineError::StorageInfeasible { limit, needed: first });
     }
     // SRS storage is not strictly monotone in the demand (see the
     // Fig. 7 jitter), so keep scanning past the first infeasible
     // demand for a short window before giving up.
-    let mut best = remaining.min(2);
     let mut candidate = best + 2;
     let mut misses = 0u32;
     while candidate <= remaining && misses < 4 {
-        let pass = build_pass(ctx, candidate)?;
-        if pass.storage_units() > limit {
+        if storage(ctx, candidate)? > limit {
             misses += 1;
         } else {
             best = candidate;
@@ -336,7 +364,16 @@ fn max_pass_demand(
         }
         candidate += 2;
     }
-    Ok(best)
+    if let Some(pass) = memo.chosen.get(&best) {
+        return Ok(pass.clone());
+    }
+    // A partial pass may choose a demand an earlier scan built and dropped.
+    let pass = match built {
+        Some(pass) if pass.demand == best => pass,
+        _ => build_pass(ctx, best)?,
+    };
+    memo.chosen.insert(best, pass.clone());
+    Ok(pass)
 }
 
 impl<'a> PlanContext<'a> {

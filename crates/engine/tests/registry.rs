@@ -20,6 +20,16 @@ use dmf_mixalgo::{
 };
 use dmf_ratio::TargetRatio;
 use dmf_sched::{SchedulerId, SchedulerKind, SchedulerRegistry};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Every test here plans with the process-global recorder enabled, so one
+/// test's planning moves another's counter readings. Each test holds this
+/// lock for its whole body.
+static GLOBAL_RECORDER: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    GLOBAL_RECORDER.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The five Table 2 bioprotocol ratios (Ex.1–Ex.5, all `L = 256`).
 fn table2_ratios() -> Vec<TargetRatio> {
@@ -53,6 +63,7 @@ fn render(plan: &dmf_engine::StreamPlan) -> String {
 
 #[test]
 fn registry_dispatch_is_byte_identical_to_enum_dispatch() {
+    let _guard = exclusive();
     for algorithm in BaseAlgorithm::ALL {
         for scheduler in SchedulerKind::ALL {
             let via_enum =
@@ -79,6 +90,7 @@ fn registry_dispatch_is_byte_identical_to_enum_dispatch() {
 
 #[test]
 fn every_stage_emits_one_span_under_its_legacy_name() {
+    let _guard = exclusive();
     let recorder = dmf_obs::global();
     recorder.set_enabled(true);
     let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).unwrap();
@@ -117,6 +129,7 @@ fn every_stage_emits_one_span_under_its_legacy_name() {
 
 #[test]
 fn per_stage_counters_track_runs() {
+    let _guard = exclusive();
     let recorder = dmf_obs::global();
     recorder.set_enabled(true);
     let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).unwrap();
@@ -146,6 +159,7 @@ impl MixingAlgorithm for MirrorMix {
 
 #[test]
 fn an_outside_algorithm_reaches_the_engine_through_the_registry() {
+    let _guard = exclusive();
     static MIRROR: MirrorMix = MirrorMix;
     MixingAlgorithmRegistry::register(AlgorithmEntry {
         id: AlgorithmId::new("mirror", "MIRROR", &MIRROR),

@@ -24,6 +24,10 @@ cargo fmt --manifest-path bench_layers/Cargo.toml --check
 cargo clippy --manifest-path bench_layers/Cargo.toml --all-targets -- -D warnings
 cargo test --release --manifest-path bench_layers/Cargo.toml
 
+echo "==> table4_passes golden (the whole Table 4 grid must match results/table4_passes.txt byte for byte)"
+cargo run --release -q -p dmf-bench --bin table4_passes > /tmp/dmf_table4_passes.txt
+diff results/table4_passes.txt /tmp/dmf_table4_passes.txt
+
 echo "==> fault_sweep smoke (fixed seed, all five protocols must meet demand)"
 cargo run --release -q -p dmf-bench --bin fault_sweep -- --seed 42 --fault-rate 0.05 --trials 1 >/dev/null
 
