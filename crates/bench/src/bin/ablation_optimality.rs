@@ -8,7 +8,7 @@
 // deny wall applies to library code only (see Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmf_forest::{build_forest, ReusePolicy};
-use dmf_mixalgo::BaseAlgorithm;
+use dmf_mixalgo::{MinMix, MixingAlgorithm};
 use dmf_sched::{mms_schedule, oms_schedule, optimal_makespan, srs_schedule, OPTIMAL_LIMIT};
 use dmf_workloads::synthetic;
 
@@ -24,7 +24,7 @@ fn main() {
         let mut optimal_total = 0u64;
         let mut count = 0usize;
         for target in &corpus {
-            let Ok(template) = BaseAlgorithm::MinMix.algorithm().build_template(target) else {
+            let Ok(template) = MinMix.build_template(target) else {
                 continue;
             };
             for demand in [4u64, 8] {

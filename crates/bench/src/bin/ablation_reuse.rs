@@ -11,7 +11,7 @@
 // deny wall applies to library code only (see Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmf_forest::{build_forest, ReusePolicy};
-use dmf_mixalgo::BaseAlgorithm;
+use dmf_mixalgo::{MinMix, MixingAlgorithm};
 use dmf_workloads::synthetic;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
     let mut wins = 0usize;
     let mut evaluated = 0usize;
     for target in &corpus {
-        let Ok(template) = BaseAlgorithm::MinMix.algorithm().build_template(target) else {
+        let Ok(template) = MinMix.build_template(target) else {
             continue;
         };
         let mut per_policy = Vec::with_capacity(2);

@@ -10,7 +10,7 @@
 // deny wall applies to library code only (see Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmf_forest::{build_forest, ReusePolicy};
-use dmf_mixalgo::BaseAlgorithm;
+use dmf_mixalgo::{MinMix, MixingAlgorithm};
 use dmf_sched::{ga_schedule, mms_schedule, oms_schedule, path_schedule, srs_schedule, GaConfig};
 use dmf_workloads::synthetic;
 
@@ -29,7 +29,7 @@ fn main() {
     let mut evaluated = 0usize;
     let ga_config = GaConfig { generations: 30, population: 24, ..GaConfig::default() };
     for target in &corpus {
-        let Ok(template) = BaseAlgorithm::MinMix.algorithm().build_template(target) else {
+        let Ok(template) = MinMix.build_template(target) else {
             continue;
         };
         let Ok(forest) = build_forest(&template, target, demand, ReusePolicy::AcrossTrees) else {

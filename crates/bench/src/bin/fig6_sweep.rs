@@ -18,7 +18,7 @@ use dmf_bench::{export_obs, obs_from_env, run_schemes_batch, Scheme};
 use dmf_engine::PlanCache;
 use dmf_mixalgo::MixingAlgorithmRegistry;
 use dmf_obs::Table;
-use dmf_sched::SchedulerId;
+use dmf_sched::SchedulerKind;
 use dmf_workloads::synthetic;
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
     let mut schemes = Vec::new();
     for entry in MixingAlgorithmRegistry::entries() {
         schemes.push(Scheme::Repeated(entry.id));
-        schemes.push(Scheme::Streaming(entry.id, SchedulerId::MMS));
+        schemes.push(Scheme::Streaming(entry.id, SchedulerKind::Mms));
     }
     let mut headers = vec!["D".to_owned()];
     headers.extend(schemes.iter().map(|s| format!("Tc {}", s.name())));

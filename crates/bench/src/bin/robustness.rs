@@ -11,7 +11,7 @@
 // deny wall applies to library code only (see Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmf_forest::{build_forest, ReusePolicy};
-use dmf_mixalgo::BaseAlgorithm;
+use dmf_mixalgo::{AlgorithmId, MinMix, MixingAlgorithm};
 use dmf_workloads::protocols;
 
 fn main() {
@@ -22,16 +22,13 @@ fn main() {
     );
     for protocol in protocols::table2_examples() {
         print!("{:<6}", protocol.id);
-        for algorithm in BaseAlgorithm::ALL {
+        for algorithm in AlgorithmId::BASELINES {
             match algorithm.algorithm().build_graph(&protocol.ratio) {
                 Ok(graph) => print!(" {:>7.4}", graph.split_error_margin(1e-4)),
                 Err(_) => print!(" {:>8}", "-"),
             }
         }
-        let template = BaseAlgorithm::MinMix
-            .algorithm()
-            .build_template(&protocol.ratio)
-            .expect("published ratios build");
+        let template = MinMix.build_template(&protocol.ratio).expect("published ratios build");
         let forest = build_forest(&template, &protocol.ratio, 32, ReusePolicy::AcrossTrees)
             .expect("forest builds");
         println!(" | {:>14.4}", forest.split_error_margin(1e-4));

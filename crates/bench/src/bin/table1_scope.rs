@@ -3,7 +3,7 @@
 // Binary/example target: the workspace `unwrap_used`/`expect_used`/`panic`
 // deny wall applies to library code only (see Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-use dmf_mixalgo::{BaseAlgorithm, Capabilities};
+use dmf_mixalgo::{AlgorithmId, Capabilities};
 
 fn cell(b: bool) -> &'static str {
     if b {
@@ -32,8 +32,8 @@ fn main() {
         "{:<12} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6}",
         "Algorithm", "SDST2", "SDST+", "MDST2", "MDST+", "SDMT2", "SDMT+"
     );
-    for algorithm in BaseAlgorithm::ALL {
-        print_row(algorithm.name(), algorithm.algorithm().capabilities());
+    for algorithm in AlgorithmId::BASELINES {
+        print_row(algorithm.label(), algorithm.algorithm().capabilities());
     }
     print_row("Proposed", Capabilities::PROPOSED);
     println!("\n(2 = dilution N=2, + = mixing N>2; 'Proposed' is the streaming engine)");

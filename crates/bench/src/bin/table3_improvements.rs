@@ -17,7 +17,7 @@
 use dmf_bench::{export_obs, obs_from_env, run_schemes_batch, sdst_baselines, Scheme};
 use dmf_engine::PlanCache;
 use dmf_obs::Table;
-use dmf_sched::SchedulerId;
+use dmf_sched::SchedulerKind;
 use dmf_workloads::synthetic;
 
 fn main() {
@@ -55,8 +55,8 @@ fn main() {
                 algorithms.iter().flat_map(move |&algorithm| {
                     [
                         (Scheme::Repeated(algorithm), target.clone(), demand),
-                        (Scheme::Streaming(algorithm, SchedulerId::MMS), target.clone(), demand),
-                        (Scheme::Streaming(algorithm, SchedulerId::SRS), target.clone(), demand),
+                        (Scheme::Streaming(algorithm, SchedulerKind::Mms), target.clone(), demand),
+                        (Scheme::Streaming(algorithm, SchedulerKind::Srs), target.clone(), demand),
                     ]
                 })
             })

@@ -15,40 +15,32 @@
 //! | `fig6_sweep` | Fig. 6 — avg Tc and I versus demand |
 //! | `fig7_mixers` | Fig. 7 — Tc and q versus mixer count |
 //!
-//! The `benches/` directory carries micro-benchmarks for the construction,
-//! scheduling, placement, routing and simulation layers, built on the
-//! std-only [`micro`] harness (the build environment is offline, so no
-//! external benchmarking framework is used).
+//! `bench_plan` times the plan cache on the std-only [`micro`] harness
+//! (the build is offline, so no external benchmarking framework is used).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// TODO(lint-wall): crate-wide exemption from the workspace
-// `unwrap_used`/`expect_used`/`panic` deny wall. Offenders here predate the
-// wall (documented-panic convenience constructors and provably-safe
-// `expect`s); burn them down and drop this allow.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod micro;
 
 use dmf_chip::CostMatrix;
 use dmf_engine::{EngineConfig, MixerBudget, PassPlan, StreamPlan, StreamingEngine};
-use dmf_mixalgo::{AlgorithmId, BaseAlgorithm, Capabilities, MixingAlgorithmRegistry};
+use dmf_mixalgo::{AlgorithmId, Capabilities, MinMix, MixingAlgorithm, MixingAlgorithmRegistry};
 use dmf_mixgraph::{NodeId, Operand};
 use dmf_ratio::TargetRatio;
-use dmf_sched::{mixer_lower_bound, SchedulerId, SchedulerRegistry};
+use dmf_sched::{mixer_lower_bound, SchedulerKind};
 
 /// The nine evaluation schemes of Table 2, in column order A–I.
 ///
-/// Schemes carry registry ids ([`AlgorithmId`] / [`SchedulerId`]), so any
-/// registered algorithm can drive an exhibit; `BaseAlgorithm` /
-/// `SchedulerKind` enum values still convert via `.into()`.
+/// Schemes carry an [`AlgorithmId`], so any registered algorithm can drive
+/// an exhibit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheme {
     /// Repeated base-tree passes (the paper's RMM / RRMA / RMTCS).
     Repeated(AlgorithmId),
     /// Streaming engine: forest seeded by the algorithm, scheduled by MMS
     /// or SRS.
-    Streaming(AlgorithmId, SchedulerId),
+    Streaming(AlgorithmId, SchedulerKind),
 }
 
 /// The algorithms a Table 2 / Table 3 comparison sweeps: every registered
@@ -67,15 +59,13 @@ pub fn sdst_baselines() -> Vec<AlgorithmId> {
 impl Scheme {
     /// Table 2's column order: A=RMM, B=MM+MMS, C=MM+SRS, D=RRMA,
     /// E=RMA+MMS, F=RMA+SRS, G=RMTCS, H=MTCS+MMS, I=MTCS+SRS — built by
-    /// sweeping [`sdst_baselines`] against every registered scheduler, so
-    /// registering a new SDST algorithm (or scheduler) grows the table.
+    /// sweeping [`sdst_baselines`] against both schedulers, so registering
+    /// a new SDST algorithm grows the table.
     pub fn table2_columns() -> Vec<Scheme> {
-        let schedulers: Vec<SchedulerId> =
-            SchedulerRegistry::entries().into_iter().map(|e| e.id).collect();
         let mut columns = Vec::new();
         for algorithm in sdst_baselines() {
             columns.push(Scheme::Repeated(algorithm));
-            for &scheduler in &schedulers {
+            for scheduler in SchedulerKind::ALL {
                 columns.push(Scheme::Streaming(algorithm, scheduler));
             }
         }
@@ -86,7 +76,7 @@ impl Scheme {
     pub fn name(&self) -> String {
         match self {
             Scheme::Repeated(a) => format!("R{}", a.label()),
-            Scheme::Streaming(a, s) => format!("{}+{}", a.label(), s.label()),
+            Scheme::Streaming(a, s) => format!("{}+{}", a.label(), s.name()),
         }
     }
 }
@@ -233,7 +223,7 @@ pub fn run_schemes_batch(
 /// `Mlb` of the target's MinMix tree — the mixer budget every Table 2
 /// scheme runs with.
 fn minmix_mlb(target: &TargetRatio) -> Result<usize, dmf_engine::EngineError> {
-    let mm = BaseAlgorithm::MinMix.algorithm().build_graph(target)?;
+    let mm = MinMix.build_graph(target)?;
     Ok(mixer_lower_bound(&mm)?)
 }
 
@@ -313,13 +303,10 @@ pub fn matrix_transport_cost(pass: &PassPlan, matrix: &CostMatrix) -> u64 {
                         total += cost(&format!("R{}", f.0 + 1), &mixer);
                     }
                     Operand::Droplet(src) => {
-                        // Which slot of src feeds us?
-                        let consumers = ordered_consumers(src);
-                        let slot = consumers
-                            .iter()
-                            .position(|&c| c == node)
-                            .expect("operand edge implies consumption");
-                        if let Some(cell) = stored_at.remove(&(src, slot)) {
+                        // Which slot of src feeds us? (An operand edge
+                        // implies consumption, so the slot always exists.)
+                        let slot = ordered_consumers(src).iter().position(|&c| c == node);
+                        if let Some(cell) = slot.and_then(|slot| stored_at.remove(&(src, slot))) {
                             total += cost(&storage_names[cell], &mixer);
                             storage_free[cell] = true;
                         } else {
@@ -409,7 +396,7 @@ mod tests {
             for algorithm in sdst_baselines() {
                 let repeated =
                     run_scheme(Scheme::Repeated(algorithm), &protocol.ratio, 32).unwrap();
-                for scheduler in [SchedulerId::MMS, SchedulerId::SRS] {
+                for scheduler in SchedulerKind::ALL {
                     let streaming =
                         run_scheme(Scheme::Streaming(algorithm, scheduler), &protocol.ratio, 32)
                             .unwrap();

@@ -1,7 +1,7 @@
 //! Std-only micro-benchmark harness.
 //!
-//! The build environment has no network access, so the `benches/` binaries
-//! (declared with `harness = false`) use this module instead of Criterion.
+//! The build is offline, so `bench_plan` uses this module instead of
+//! Criterion.
 //! Each benchmark warms up, picks an iteration count targeting a fixed
 //! batch duration, then reports min / mean / max per-iteration wall time
 //! over several batches through the shared [`dmf_obs::Table`] writer.

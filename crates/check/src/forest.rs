@@ -283,7 +283,7 @@ pub fn check_forest(graph: &MixGraph, target: &TargetRatio, demand: u64) -> Chec
 mod tests {
     use super::*;
     use dmf_forest::{build_forest, ReusePolicy};
-    use dmf_mixalgo::BaseAlgorithm;
+    use dmf_mixalgo::{MinMix, MixingAlgorithm};
 
     fn pcr_d4() -> TargetRatio {
         TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).expect("valid ratio")
@@ -291,7 +291,7 @@ mod tests {
 
     fn forest(demand: u64) -> MixGraph {
         let target = pcr_d4();
-        let template = BaseAlgorithm::MinMix.algorithm().build_template(&target).expect("template");
+        let template = MinMix.build_template(&target).expect("template");
         build_forest(&template, &target, demand, ReusePolicy::AcrossTrees).expect("forest")
     }
 

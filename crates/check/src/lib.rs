@@ -93,13 +93,13 @@ pub fn check_pass(
 mod tests {
     use super::*;
     use dmf_forest::{build_forest, ReusePolicy};
-    use dmf_mixalgo::BaseAlgorithm;
+    use dmf_mixalgo::{MinMix, MixingAlgorithm};
     use dmf_sched::SchedulerKind;
 
     #[test]
     fn pass_composition_is_clean_on_good_artifacts() {
         let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).expect("valid ratio");
-        let template = BaseAlgorithm::MinMix.algorithm().build_template(&target).expect("template");
+        let template = MinMix.build_template(&target).expect("template");
         let forest =
             build_forest(&template, &target, 20, ReusePolicy::AcrossTrees).expect("forest");
         let schedule = SchedulerKind::Srs.run(&forest, 3).expect("schedule");

@@ -147,13 +147,13 @@ pub fn check_schedule(
 mod tests {
     use super::*;
     use dmf_forest::{build_forest, ReusePolicy};
-    use dmf_mixalgo::BaseAlgorithm;
+    use dmf_mixalgo::{MinMix, MixingAlgorithm};
     use dmf_ratio::TargetRatio;
     use dmf_sched::SchedulerKind;
 
     fn pcr_forest(demand: u64) -> (MixGraph, TargetRatio) {
         let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).expect("valid ratio");
-        let template = BaseAlgorithm::MinMix.algorithm().build_template(&target).expect("template");
+        let template = MinMix.build_template(&target).expect("template");
         let forest =
             build_forest(&template, &target, demand, ReusePolicy::AcrossTrees).expect("forest");
         (forest, target)

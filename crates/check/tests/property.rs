@@ -17,7 +17,7 @@
 
 use dmf_check::{check_pass, recount_storage_units};
 use dmf_forest::{build_forest, ReusePolicy};
-use dmf_mixalgo::BaseAlgorithm;
+use dmf_mixalgo::{MinMix, MixingAlgorithm};
 use dmf_mixgraph::MixGraph;
 use dmf_ratio::TargetRatio;
 use dmf_rng::{Rng, SeedableRng, StdRng};
@@ -40,10 +40,7 @@ fn random_ratio(rng: &mut StdRng) -> TargetRatio {
 fn random_forest(rng: &mut StdRng) -> (TargetRatio, u64, MixGraph) {
     let target = random_ratio(rng);
     let demand = 2 * rng.gen_range(1..=12u64);
-    let template = BaseAlgorithm::MinMix
-        .algorithm()
-        .build_template(&target)
-        .expect("MinMix handles every 2^d ratio");
+    let template = MinMix.build_template(&target).expect("MinMix handles every 2^d ratio");
     let forest =
         build_forest(&template, &target, demand, ReusePolicy::AcrossTrees).expect("forest");
     (target, demand, forest)

@@ -40,7 +40,6 @@ mod geom;
 mod module;
 mod place;
 pub mod presets;
-mod registry;
 mod spec;
 mod svg;
 
@@ -49,8 +48,4 @@ pub use error::ChipError;
 pub use geom::{Coord, Rect};
 pub use module::{Module, ModuleId, ModuleKind};
 pub use place::{FlowMatrix, PlacementConfig, PlacementContext, PlacementRequest, Placer, WearMap};
-pub use registry::{
-    AnnealingPlacement, DuplicatePlacementError, GreedyPlacement, PlacementEntry, PlacementId,
-    PlacementRegistry, PlacementStrategy, UnknownPlacementError,
-};
 pub use spec::ChipSpec;

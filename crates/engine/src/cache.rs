@@ -418,6 +418,28 @@ mod tests {
         assert_ne!(a.fingerprint(), PlanKey::new(&config, &other, 20).fingerprint());
     }
 
+    /// Fingerprints name cache shards and appear in serve replies, so the
+    /// way algorithm and scheduler handles hash must never move them.
+    #[test]
+    fn fingerprints_are_pinned() {
+        use dmf_mixalgo::AlgorithmId;
+        use dmf_sched::SchedulerKind;
+        let default = EngineConfig::default();
+        let rma = default.with_algorithm(AlgorithmId::RMA);
+        for (config, expected) in [
+            (default, 0x6027_73dc_cefb_0836_u64),
+            (default.with_scheduler(SchedulerKind::Mms), 0x84c3_f56a_c3d7_68a5),
+            (rma, 0x972e_6807_0eee_48c2),
+            (
+                rma.with_scheduler(SchedulerKind::Mms).with_mixers(3).with_storage_limit(5),
+                0xc836_9d04_b8a1_31b7,
+            ),
+        ] {
+            let key = PlanKey::new(&config, &pcr_d4(), 20);
+            assert_eq!(key.fingerprint(), expected, "{config:?}");
+        }
+    }
+
     #[test]
     fn lookup_store_round_trip() {
         let cache = PlanCache::new();

@@ -1,6 +1,6 @@
 use dmf_forest::ReusePolicy;
 use dmf_mixalgo::AlgorithmId;
-use dmf_sched::SchedulerId;
+use dmf_sched::SchedulerKind;
 
 /// How many on-chip mixers the engine may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -19,17 +19,16 @@ pub enum MixerBudget {
 /// trees, SRS scheduling, `Mlb` mixers, paper-faithful across-tree droplet
 /// reuse and no storage budget.
 ///
-/// Algorithm and scheduler are registry ids
-/// ([`dmf_mixalgo::AlgorithmId`] / [`dmf_sched::SchedulerId`]), so any
-/// registered algorithm — not just the [`dmf_mixalgo::BaseAlgorithm`]
-/// baselines — can drive the engine; the enum values still convert
-/// (`config.with_algorithm(BaseAlgorithm::Rma)`).
+/// The algorithm is a registry id ([`dmf_mixalgo::AlgorithmId`]), so any
+/// registered algorithm — not just the four paper baselines — can drive
+/// the engine. The scheduler is one of the paper's two
+/// ([`dmf_sched::SchedulerKind`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EngineConfig {
     /// Base mixing-tree algorithm seeding the forest.
     pub algorithm: AlgorithmId,
     /// Forest scheduler (MMS for latency, SRS for storage).
-    pub scheduler: SchedulerId,
+    pub scheduler: SchedulerKind,
     /// Mixer budget.
     pub mixers: MixerBudget,
     /// On-chip storage budget `q'`; `None` means unconstrained
@@ -43,7 +42,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             algorithm: AlgorithmId::MINMIX,
-            scheduler: SchedulerId::SRS,
+            scheduler: SchedulerKind::Srs,
             mixers: MixerBudget::MmLowerBound,
             storage_limit: None,
             reuse: ReusePolicy::AcrossTrees,
@@ -64,18 +63,15 @@ impl EngineConfig {
         self
     }
 
-    /// Shorthand: this config with another base algorithm (a
-    /// [`dmf_mixalgo::BaseAlgorithm`] or any registered
-    /// [`AlgorithmId`]).
-    pub fn with_algorithm(mut self, algorithm: impl Into<AlgorithmId>) -> Self {
-        self.algorithm = algorithm.into();
+    /// Shorthand: this config with another base algorithm.
+    pub fn with_algorithm(mut self, algorithm: AlgorithmId) -> Self {
+        self.algorithm = algorithm;
         self
     }
 
-    /// Shorthand: this config with another scheduler (a
-    /// [`dmf_sched::SchedulerKind`] or any registered [`SchedulerId`]).
-    pub fn with_scheduler(mut self, scheduler: impl Into<SchedulerId>) -> Self {
-        self.scheduler = scheduler.into();
+    /// Shorthand: this config with another scheduler.
+    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
+        self.scheduler = scheduler;
         self
     }
 }
@@ -83,13 +79,11 @@ impl EngineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmf_mixalgo::BaseAlgorithm;
-    use dmf_sched::SchedulerKind;
 
     #[test]
     fn default_matches_paper_headline() {
         let c = EngineConfig::default();
-        assert_eq!(c.algorithm, BaseAlgorithm::MinMix);
+        assert_eq!(c.algorithm, AlgorithmId::MINMIX);
         assert_eq!(c.scheduler, SchedulerKind::Srs);
         assert_eq!(c.mixers, MixerBudget::MmLowerBound);
         assert_eq!(c.storage_limit, None);
@@ -100,11 +94,11 @@ mod tests {
         let c = EngineConfig::default()
             .with_mixers(5)
             .with_storage_limit(3)
-            .with_algorithm(BaseAlgorithm::Rma)
+            .with_algorithm(AlgorithmId::RMA)
             .with_scheduler(SchedulerKind::Mms);
         assert_eq!(c.mixers, MixerBudget::Fixed(5));
         assert_eq!(c.storage_limit, Some(3));
-        assert_eq!(c.algorithm, BaseAlgorithm::Rma);
+        assert_eq!(c.algorithm, AlgorithmId::RMA);
         assert_eq!(c.scheduler, SchedulerKind::Mms);
     }
 

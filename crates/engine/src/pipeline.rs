@@ -41,7 +41,7 @@
 //! route through the same `MetaStage`-wrapped stages.
 
 use crate::{EngineConfig, EngineError, MixerBudget, PassPlan, StreamPlan};
-use dmf_mixalgo::{BaseAlgorithm, Template};
+use dmf_mixalgo::{MinMix, MixingAlgorithm, Template};
 use dmf_mixgraph::MixGraph;
 use dmf_ratio::TargetRatio;
 use dmf_sched::mixer_lower_bound;
@@ -188,7 +188,7 @@ pub(crate) fn resolve_mixers(
     match config.mixers {
         MixerBudget::Fixed(m) => Ok(m),
         MixerBudget::MmLowerBound => {
-            let mm = BaseAlgorithm::MinMix.algorithm().build_graph(target)?;
+            let mm = MinMix.build_graph(target)?;
             Ok(mixer_lower_bound(&mm)?)
         }
     }

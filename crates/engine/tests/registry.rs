@@ -1,13 +1,14 @@
 //! Registry-dispatch guarantees of the pluggable pipeline:
 //!
-//! * every registered (algorithm, scheduler) pair plans the paper's five
-//!   Table 2 protocols byte-identically whether the config is built from
-//!   registry-resolved ids or from the legacy enums;
+//! * every (algorithm, scheduler) pair plans the paper's five Table 2
+//!   protocols byte-identically whether the config is built from the
+//!   constant handles (`AlgorithmId::MINMIX`, `SchedulerKind::Srs`, …) or
+//!   from handles resolved by wire key;
 //! * each `MetaStage`-wrapped stage emits exactly one span per run under
 //!   its legacy name, correctly parented (`stage_build_forest` and
 //!   `stage_schedule` nest under `stage_split_passes`);
-//! * a brand-new algorithm registered from the outside — no edits to
-//!   `BaseAlgorithm`, `SchedulerKind` or the engine — reaches
+//! * a brand-new algorithm registered from the outside — no edits to the
+//!   engine — reaches
 //!   `PlanRequest::with_algorithm` and `plan_batch`.
 
 // Test target: the workspace `unwrap_used`/`expect_used`/`panic` deny wall
@@ -15,11 +16,11 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmf_engine::{plan_batch, BatchOptions, EngineConfig, PlanRequest, StreamingEngine};
 use dmf_mixalgo::{
-    AlgorithmEntry, AlgorithmId, BaseAlgorithm, Capabilities, MinMix, MixAlgoError,
-    MixingAlgorithm, MixingAlgorithmRegistry, Template,
+    AlgorithmEntry, AlgorithmId, Capabilities, MinMix, MixAlgoError, MixingAlgorithm,
+    MixingAlgorithmRegistry, Template,
 };
 use dmf_ratio::TargetRatio;
-use dmf_sched::{SchedulerId, SchedulerKind, SchedulerRegistry};
+use dmf_sched::SchedulerKind;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Every test here plans with the process-global recorder enabled, so one
@@ -62,24 +63,23 @@ fn render(plan: &dmf_engine::StreamPlan) -> String {
 }
 
 #[test]
-fn registry_dispatch_is_byte_identical_to_enum_dispatch() {
+fn resolved_handles_plan_byte_identically_to_constant_handles() {
     let _guard = exclusive();
-    for algorithm in BaseAlgorithm::ALL {
+    for algorithm in AlgorithmId::BASELINES {
         for scheduler in SchedulerKind::ALL {
-            let via_enum =
+            let via_constants =
                 EngineConfig::default().with_algorithm(algorithm).with_scheduler(scheduler);
-            let algo_key = AlgorithmId::from(algorithm).key();
-            let sched_key = SchedulerId::from(scheduler).key();
-            let via_registry = EngineConfig::default()
+            let (algo_key, sched_key) = (algorithm.key(), scheduler.key());
+            let via_keys = EngineConfig::default()
                 .with_algorithm(MixingAlgorithmRegistry::resolve(algo_key).unwrap())
-                .with_scheduler(SchedulerRegistry::resolve(sched_key).unwrap());
-            assert_eq!(via_enum, via_registry);
+                .with_scheduler(SchedulerKind::resolve(sched_key).unwrap());
+            assert_eq!(via_constants, via_keys);
             for ratio in table2_ratios() {
-                let enum_plan = StreamingEngine::new(via_enum).plan(&ratio, 32).unwrap();
-                let registry_plan = StreamingEngine::new(via_registry).plan(&ratio, 32).unwrap();
+                let constant_plan = StreamingEngine::new(via_constants).plan(&ratio, 32).unwrap();
+                let resolved_plan = StreamingEngine::new(via_keys).plan(&ratio, 32).unwrap();
                 assert_eq!(
-                    render(&enum_plan),
-                    render(&registry_plan),
+                    render(&constant_plan),
+                    render(&resolved_plan),
                     "{algo_key}+{sched_key} diverged on {:?}",
                     ratio.parts()
                 );

@@ -121,43 +121,3 @@ pub trait MixingAlgorithm {
         materialize(&template, target, self.shares_subgraphs())
     }
 }
-
-/// Enumeration of the provided base algorithms, for configuration surfaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BaseAlgorithm {
-    /// [`MinMix`].
-    MinMix,
-    /// [`Rma`].
-    Rma,
-    /// [`Mtcs`].
-    Mtcs,
-    /// [`Rsm`].
-    Rsm,
-}
-
-impl BaseAlgorithm {
-    /// All provided algorithms, in the paper's citation order.
-    pub const ALL: [BaseAlgorithm; 4] =
-        [BaseAlgorithm::MinMix, BaseAlgorithm::Rma, BaseAlgorithm::Mtcs, BaseAlgorithm::Rsm];
-
-    /// The algorithm object behind the enum tag.
-    pub fn algorithm(self) -> &'static dyn MixingAlgorithm {
-        match self {
-            BaseAlgorithm::MinMix => &MinMix,
-            BaseAlgorithm::Rma => &Rma,
-            BaseAlgorithm::Mtcs => &Mtcs,
-            BaseAlgorithm::Rsm => &Rsm,
-        }
-    }
-
-    /// Short identifier ("MM", "RMA", "MTCS", "RSM").
-    pub fn name(self) -> &'static str {
-        self.algorithm().name()
-    }
-}
-
-impl std::fmt::Display for BaseAlgorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}

@@ -1,5 +1,5 @@
-//! Name-keyed registry of mixing algorithms — the open extension point
-//! behind the closed [`BaseAlgorithm`] enum.
+//! Name-keyed registry of mixing algorithms — the pipeline's one open
+//! extension point.
 //!
 //! The engine, the CLI, the serve protocol and the benchmark exhibits all
 //! select a base algorithm through an [`AlgorithmId`]: a `Copy` handle
@@ -12,10 +12,10 @@
 //! [`MixingAlgorithmRegistry`] is seeded with the paper's four baselines
 //! (MinMix, RMA, MTCS, RSM, in citation order). New planners register at
 //! runtime with [`MixingAlgorithmRegistry::register`] and immediately
-//! reach every consumer that resolves by name, without touching
-//! [`BaseAlgorithm`] or the engine core.
+//! reach every consumer that resolves by name, without touching the
+//! engine core.
 
-use crate::{BaseAlgorithm, MinMix, MixingAlgorithm, Mtcs, Rma, Rsm};
+use crate::{MinMix, MixingAlgorithm, Mtcs, Rma, Rsm};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -43,6 +43,9 @@ impl AlgorithmId {
     pub const MTCS: AlgorithmId = AlgorithmId::new("mtcs", "MTCS", &Mtcs);
     /// RSM (`"rsm"`).
     pub const RSM: AlgorithmId = AlgorithmId::new("rsm", "RSM", &Rsm);
+    /// The paper's four baselines, in citation order (the registry's seed).
+    pub const BASELINES: [AlgorithmId; 4] =
+        [AlgorithmId::MINMIX, AlgorithmId::RMA, AlgorithmId::MTCS, AlgorithmId::RSM];
 
     /// Creates an id. `key` should be short, lowercase and stable — it is
     /// the wire name used by the CLI (`--algo KEY`) and the serve protocol.
@@ -93,29 +96,6 @@ impl fmt::Debug for AlgorithmId {
 impl fmt::Display for AlgorithmId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label)
-    }
-}
-
-impl From<BaseAlgorithm> for AlgorithmId {
-    fn from(algorithm: BaseAlgorithm) -> Self {
-        match algorithm {
-            BaseAlgorithm::MinMix => AlgorithmId::MINMIX,
-            BaseAlgorithm::Rma => AlgorithmId::RMA,
-            BaseAlgorithm::Mtcs => AlgorithmId::MTCS,
-            BaseAlgorithm::Rsm => AlgorithmId::RSM,
-        }
-    }
-}
-
-impl PartialEq<BaseAlgorithm> for AlgorithmId {
-    fn eq(&self, other: &BaseAlgorithm) -> bool {
-        *self == AlgorithmId::from(*other)
-    }
-}
-
-impl PartialEq<AlgorithmId> for BaseAlgorithm {
-    fn eq(&self, other: &AlgorithmId) -> bool {
-        AlgorithmId::from(*self) == *other
     }
 }
 
@@ -301,13 +281,10 @@ mod tests {
     }
 
     #[test]
-    fn ids_round_trip_the_enum_and_compare_across_types() {
-        for base in BaseAlgorithm::ALL {
-            let id = AlgorithmId::from(base);
-            assert_eq!(id, base);
-            assert_eq!(base, id);
-            assert_eq!(id.label(), base.name());
-            assert_eq!(id.algorithm().name(), base.algorithm().name());
+    fn constant_ids_label_their_algorithm() {
+        for id in AlgorithmId::BASELINES {
+            assert_eq!(id.label(), id.algorithm().name());
+            assert_eq!(id.to_string(), id.label());
         }
         assert_ne!(AlgorithmId::MINMIX, AlgorithmId::RSM);
     }

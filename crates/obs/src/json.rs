@@ -107,7 +107,7 @@ impl std::error::Error for ParseError {}
 /// Returns a [`ParseError`] on malformed input, trailing garbage, or
 /// nesting deeper than [`MAX_DEPTH`] ("nesting too deep").
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -127,6 +127,9 @@ pub fn parse_lines(input: &str) -> Result<Vec<Json>, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes; `pos` indexes both and always sits on a char
+    /// boundary.
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -286,12 +289,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar as-is.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next quote
+                    // or backslash in one go: both are ASCII, so the run
+                    // ends on a char boundary. Scanning only this run keeps
+                    // the parser linear in the input length.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    let plain =
+                        self.text.get(self.pos..run).ok_or_else(|| self.err("invalid UTF-8"))?;
+                    out.push_str(plain);
+                    self.pos = run;
                 }
             }
         }
@@ -305,13 +314,12 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
+        let bad = ParseError { at: start, message: "bad number" };
+        let text = self.text.get(start..self.pos).ok_or_else(|| bad.clone())?;
         if let Ok(v) = text.parse::<u64>() {
             return Ok(Json::Int(v));
         }
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| ParseError { at: start, message: "bad number" })
+        text.parse::<f64>().map(Json::Num).map_err(|_| bad)
     }
 }
 
@@ -378,6 +386,31 @@ mod tests {
         assert!(parse(&deepest).is_ok());
         let too_deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
         assert_eq!(parse(&too_deep).unwrap_err().message, "nesting too deep");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // ~1 MiB of short-string objects: the per-character rescan of the
+        // rest of the document this guards against took 26.8 s here in a
+        // release build.
+        let item = r#"{"k":"abcdefghijklmnop","v":"qrstuvwxyz"}"#;
+        let count = (1 << 20) / (item.len() + 1);
+        let doc = format!("[{}]", vec![item; count].join(","));
+        let started = std::time::Instant::now();
+        let Json::Arr(items) = parse(&doc).unwrap() else { panic!("expected an array") };
+        let elapsed = started.elapsed();
+        assert_eq!(items.len(), count);
+        assert_eq!(items[count - 1].get("v").and_then(Json::as_str), Some("qrstuvwxyz"));
+        assert!(elapsed < std::time::Duration::from_secs(2), "took {elapsed:?}");
+    }
+
+    #[test]
+    fn a_60_kib_string_in_a_serve_line_parses() {
+        let long = "µ1:".repeat(60 * 1024 / 4);
+        let line = format!(r#"{{"op":"plan","ratio":"{long}","pad":"a\"b"}}"#);
+        let v = parse(&line).unwrap();
+        assert_eq!(v.get("ratio").and_then(Json::as_str), Some(long.as_str()));
+        assert_eq!(v.get("pad").and_then(Json::as_str), Some("a\"b"));
     }
 
     #[test]

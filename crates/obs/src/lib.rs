@@ -52,11 +52,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// TODO(lint-wall): exempt from the workspace `unwrap_used`/`expect_used`/
-// `panic` deny wall. Remaining offenders are poisoned-mutex `expect`s in
-// `recorder` and provably-safe UTF-8/ASCII `expect`s in `json`; burn them
-// down and drop this crate-wide allow.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod json;
 mod profile;

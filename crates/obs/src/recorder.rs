@@ -2,7 +2,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Number of fixed power-of-two buckets in a [`Histogram`].
@@ -280,8 +280,12 @@ impl Recorder {
         *inner = Inner::new(capacity);
     }
 
+    // A thread that panicked while recording leaves at worst one sample
+    // partly counted; the collections themselves stay valid, and telemetry
+    // must not take every later caller down with it, so the guard is
+    // recovered rather than propagated.
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().expect("recorder poisoned")
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Starts a span; dropping the returned guard records it. Inert (and

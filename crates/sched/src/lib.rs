@@ -66,7 +66,6 @@ mod hu;
 mod mms;
 mod optimal;
 mod path;
-mod registry;
 mod schedule;
 mod srs;
 mod storage;
@@ -79,17 +78,16 @@ pub use hu::{critical_path, mixer_lower_bound, oms_schedule};
 pub use mms::mms_schedule;
 pub use optimal::{optimal_makespan, OPTIMAL_LIMIT};
 pub use path::path_schedule;
-pub use registry::{
-    DuplicateSchedulerError, MmsScheduler, Scheduler, SchedulerEntry, SchedulerId,
-    SchedulerRegistry, SrsScheduler, UnknownSchedulerError,
-};
 pub use schedule::{MixerId, Schedule};
 pub use srs::srs_schedule;
 pub use storage::StorageProfile;
 
-/// Which forest scheduler to run — configuration surface for the engine and
-/// the benchmark harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Which forest scheduler to run — the engine's scheduler handle.
+///
+/// The paper defines exactly two forest schedulers, so the set is closed:
+/// names resolve through [`SchedulerKind::resolve`] and dispatch is a
+/// `match`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// [`mms_schedule`] (Algorithm 1) — latency-oriented.
     Mms,
@@ -101,12 +99,49 @@ impl SchedulerKind {
     /// Both schedulers, in the paper's order.
     pub const ALL: [SchedulerKind; 2] = [SchedulerKind::Mms, SchedulerKind::Srs];
 
+    /// The stable wire key (`"mms"` / `"srs"`) used by `--scheduler` and
+    /// the serve protocol.
+    pub fn key(self) -> &'static str {
+        match self {
+            SchedulerKind::Mms => "mms",
+            SchedulerKind::Srs => "srs",
+        }
+    }
+
     /// Short identifier ("MMS" / "SRS").
     pub fn name(self) -> &'static str {
         match self {
             SchedulerKind::Mms => "MMS",
             SchedulerKind::Srs => "SRS",
         }
+    }
+
+    /// One-line description shown by `--list-schedulers`.
+    pub fn description(self) -> &'static str {
+        match self {
+            SchedulerKind::Mms => {
+                "M_Mixers_Schedule (Algorithm 1): level-synchronous FIFO forest scheduling, \
+                 latency-oriented"
+            }
+            SchedulerKind::Srs => {
+                "Storage_Reduced_Scheduling (Algorithm 2): defers reservoir-fed mixes to cut \
+                 on-chip storage"
+            }
+        }
+    }
+
+    /// Resolves `name` against keys and names, case-insensitively.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownSchedulerError`] when nothing matches.
+    pub fn resolve(name: &str) -> Result<SchedulerKind, UnknownSchedulerError> {
+        SchedulerKind::ALL
+            .into_iter()
+            .find(|kind| {
+                kind.key().eq_ignore_ascii_case(name) || kind.name().eq_ignore_ascii_case(name)
+            })
+            .ok_or_else(|| UnknownSchedulerError { name: name.to_owned() })
     }
 
     /// Runs the selected scheduler.
@@ -126,8 +161,75 @@ impl SchedulerKind {
     }
 }
 
+/// Hashes the wire key as a `str`, not the discriminant, so the engine's
+/// plan fingerprints (and with them cache shards and serve replies) do not
+/// depend on the variant order.
+impl std::hash::Hash for SchedulerKind {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
 impl std::fmt::Display for SchedulerKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// The name `name` matched neither scheduler.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownSchedulerError {
+    /// The name that failed to resolve.
+    pub name: String,
+}
+
+impl std::fmt::Display for UnknownSchedulerError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let known: Vec<&str> = SchedulerKind::ALL.iter().map(|kind| kind.key()).collect();
+        write!(f, "unknown scheduler {:?} (registered: {})", self.name, known.join(", "))
+    }
+}
+
+impl std::error::Error for UnknownSchedulerError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dmf_ratio::TargetRatio;
+
+    #[test]
+    fn schedulers_resolve_by_key_and_name_case_insensitively() {
+        for (name, expected) in [
+            ("mms", SchedulerKind::Mms),
+            ("MMS", SchedulerKind::Mms),
+            ("Mms", SchedulerKind::Mms),
+            ("srs", SchedulerKind::Srs),
+            ("SRS", SchedulerKind::Srs),
+            ("sRs", SchedulerKind::Srs),
+        ] {
+            assert_eq!(SchedulerKind::resolve(name).unwrap(), expected, "{name}");
+        }
+        for kind in SchedulerKind::ALL {
+            assert_eq!(SchedulerKind::resolve(kind.key()).unwrap(), kind);
+            assert!(!kind.description().is_empty());
+        }
+    }
+
+    #[test]
+    fn unknown_scheduler_message_lists_both_keys() {
+        let err = SchedulerKind::resolve("nonesuch").unwrap_err();
+        assert_eq!(err.name, "nonesuch");
+        assert_eq!(err.to_string(), r#"unknown scheduler "nonesuch" (registered: mms, srs)"#);
+    }
+
+    #[test]
+    fn kind_dispatch_equals_direct_function_calls() {
+        use dmf_mixalgo::{MinMix, MixingAlgorithm};
+        let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).unwrap();
+        let graph = MinMix.build_graph(&target).unwrap();
+        let direct = srs_schedule(&graph, 3).unwrap();
+        let via_kind = SchedulerKind::Srs.run(&graph, 3).unwrap();
+        assert_eq!(direct.makespan(), via_kind.makespan());
+        assert_eq!(direct.storage(&graph).peak, via_kind.storage(&graph).peak);
     }
 }

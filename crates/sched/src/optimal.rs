@@ -87,7 +87,7 @@ mod tests {
     use super::*;
     use crate::{mms_schedule, oms_schedule, srs_schedule};
     use dmf_forest::{build_forest, ReusePolicy};
-    use dmf_mixalgo::{BaseAlgorithm, MinMix, MixingAlgorithm};
+    use dmf_mixalgo::{MinMix, MixingAlgorithm};
     use dmf_ratio::TargetRatio;
 
     #[test]
@@ -131,7 +131,7 @@ mod tests {
     #[test]
     fn heuristics_stay_close_to_optimal_on_small_forests() {
         let target = TargetRatio::new(vec![3, 5]).unwrap();
-        let template = BaseAlgorithm::MinMix.algorithm().build_template(&target).unwrap();
+        let template = MinMix.build_template(&target).unwrap();
         for demand in [4u64, 8, 12] {
             let forest =
                 build_forest(&template, &target, demand, ReusePolicy::AcrossTrees).unwrap();
@@ -152,7 +152,7 @@ mod tests {
     #[test]
     fn oversized_graphs_are_refused() {
         let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).unwrap();
-        let template = BaseAlgorithm::MinMix.algorithm().build_template(&target).unwrap();
+        let template = MinMix.build_template(&target).unwrap();
         let forest = build_forest(&template, &target, 32, ReusePolicy::AcrossTrees).unwrap();
         assert!(forest.node_count() > OPTIMAL_LIMIT);
         assert_eq!(optimal_makespan(&forest, 3), None);

@@ -204,9 +204,9 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
                 config = config.with_algorithm(id);
             }
             if let Some(name) = member_str(&value, "scheduler")? {
-                let id = dmf_sched::SchedulerRegistry::resolve(name)
+                let kind = dmf_sched::SchedulerKind::resolve(name)
                     .map_err(|e| ProtocolError::new(e.to_string()))?;
-                config = config.with_scheduler(id);
+                config = config.with_scheduler(kind);
             }
             if let Some(mixers) = member_u64(&value, "mixers")? {
                 let mixers = usize::try_from(mixers)
@@ -311,7 +311,7 @@ pub fn stalled_response(ms: u64) -> String {
 mod tests {
     use super::*;
     use dmf_engine::MixerBudget;
-    use dmf_mixalgo::BaseAlgorithm;
+    use dmf_mixalgo::AlgorithmId;
     use dmf_sched::SchedulerKind;
 
     #[test]
@@ -341,7 +341,7 @@ mod tests {
         .unwrap();
         let Request::Plan(spec) = r else { panic!("expected a plan request") };
         assert_eq!(spec.demand, 8);
-        assert_eq!(spec.config.algorithm, BaseAlgorithm::Rma);
+        assert_eq!(spec.config.algorithm, AlgorithmId::RMA);
         assert_eq!(spec.config.scheduler, SchedulerKind::Mms);
         assert_eq!(spec.config.mixers, MixerBudget::Fixed(3));
         assert_eq!(spec.config.storage_limit, Some(4));
@@ -395,11 +395,11 @@ mod tests {
         assert_eq!(err.code(), "unknown_algo");
         let r = parse_request(r#"{"op":"plan","ratio":"1:1","algo":"rma"}"#).unwrap();
         let Request::Plan(spec) = r else { panic!("expected a plan request") };
-        assert_eq!(spec.config.algorithm, BaseAlgorithm::Rma);
-        // Unknown schedulers stay bad_request: the scheduler set is closed
-        // at the protocol level until a streaming scheduler registers.
+        assert_eq!(spec.config.algorithm, AlgorithmId::RMA);
+        // Unknown schedulers stay bad_request: the scheduler set is closed.
         let err = parse_request(r#"{"op":"plan","ratio":"1:1","scheduler":"fifo"}"#).unwrap_err();
         assert_eq!(err.code(), "bad_request");
+        assert_eq!(err.to_string(), r#"unknown scheduler "fifo" (registered: mms, srs)"#);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 // deny wall applies to library code only (see Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmfstream::engine::{improvement_over_baseline, repeated, EngineConfig, StreamingEngine};
-use dmfstream::mixalgo::BaseAlgorithm;
+use dmfstream::mixalgo::AlgorithmId;
 use dmfstream::ratio::TargetRatio;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n{}", pass.schedule.gantt(&pass.forest));
 
     // The naive alternative: rerun the MinMix tree 10 times.
-    let baseline = repeated(BaseAlgorithm::MinMix, &target, 20, plan.mixers)?;
+    let baseline = repeated(AlgorithmId::MINMIX, &target, 20, plan.mixers)?;
     println!(
         "repeated-MM baseline: passes={} Tc={} W={} I={}",
         baseline.passes, baseline.total_cycles, baseline.total_waste, baseline.total_inputs

@@ -72,18 +72,9 @@ cargo run --release -q --bin dmfstream -- check --all-protocols --jobs 1 > /tmp/
 cargo run --release -q --bin dmfstream -- check --all-protocols --jobs 4 > /tmp/dmf_check_j4.txt
 diff /tmp/dmf_check_j1.txt /tmp/dmf_check_j4.txt
 
-echo "==> registry gate (--list-algorithms names the four paper baselines; unknown --algo exits 2 typed)"
-algo_list=$(target/release/dmfstream plan --list-algorithms)
-for key in mm rma mtcs rsm; do
-  printf '%s\n' "$algo_list" | grep -Eq "^  $key " || {
-    echo "registry gate: --list-algorithms is missing '$key': $algo_list"
-    exit 1
-  }
-done
-target/release/dmfstream plan --list-schedulers | grep -q '^  srs ' || {
-  echo "registry gate: --list-schedulers is missing srs"
-  exit 1
-}
+echo "==> registry gate (name listings match results/registries.txt byte for byte; unknown --algo/--scheduler exit 2 typed)"
+target/release/dmfstream plan --list-algorithms --list-schedulers > /tmp/dmf_registries.txt
+diff results/registries.txt /tmp/dmf_registries.txt
 set +e
 unknown_out=$(target/release/dmfstream plan 2:1:1:1:1:1:9 --demand 4 --algo nonesuch 2>&1)
 unknown_code=$?
@@ -98,6 +89,18 @@ printf '%s' "$unknown_out" | grep -q 'unknown mixing algorithm "nonesuch" (regis
 }
 printf '%s' "$unknown_out" | grep -q 'list-algorithms' || {
   echo "registry gate: unknown --algo error did not suggest --list-algorithms: $unknown_out"
+  exit 1
+}
+set +e
+unknown_out=$(target/release/dmfstream plan 2:1:1:1:1:1:9 --demand 4 --scheduler nonesuch 2>&1)
+unknown_code=$?
+set -e
+[ "$unknown_code" -eq 2 ] || {
+  echo "registry gate: unknown --scheduler exited $unknown_code, expected 2"
+  exit 1
+}
+printf '%s' "$unknown_out" | grep -q 'unknown scheduler "nonesuch" (registered: mms, srs)' || {
+  echo "registry gate: unknown --scheduler error was not typed: $unknown_out"
   exit 1
 }
 

@@ -55,7 +55,7 @@ use dmfstream::mixalgo::MixingAlgorithmRegistry;
 use dmfstream::obs;
 use dmfstream::pins::BackendKind;
 use dmfstream::ratio::TargetRatio;
-use dmfstream::sched::SchedulerRegistry;
+use dmfstream::sched::SchedulerKind;
 use dmfstream::serve::{Client, ServeConfig, Server};
 use dmfstream::sim::Simulator;
 use std::num::NonZeroUsize;
@@ -388,10 +388,10 @@ fn parse_args() -> Result<Args, String> {
             }
             "--scheduler" => {
                 let name = value()?;
-                let id = SchedulerRegistry::resolve(&name).map_err(|e| {
+                let kind = SchedulerKind::resolve(&name).map_err(|e| {
                     format!("{e}; run `dmfstream plan --list-schedulers` for descriptions")
                 })?;
-                config = config.with_scheduler(id);
+                config = config.with_scheduler(kind);
             }
             "--list-algorithms" => list_algorithms = true,
             "--list-schedulers" => list_schedulers = true,
@@ -432,7 +432,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Prints the registered mixing algorithms and/or schedulers, one per
-/// line with the one-line registry description — the output behind
+/// line with its one-line description — the output behind
 /// `dmfstream plan --list-algorithms` / `--list-schedulers`.
 fn print_registries(algorithms: bool, schedulers: bool) {
     if algorithms {
@@ -454,8 +454,8 @@ fn print_registries(algorithms: bool, schedulers: bool) {
     }
     if schedulers {
         println!("schedulers:");
-        for entry in SchedulerRegistry::entries() {
-            println!("  {:<8} {:<6} {}", entry.id.key(), entry.id.label(), entry.description);
+        for kind in SchedulerKind::ALL {
+            println!("  {:<8} {:<6} {}", kind.key(), kind.name(), kind.description());
         }
     }
 }

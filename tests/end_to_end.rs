@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmfstream::chip::presets::streaming_chip;
 use dmfstream::engine::{realize_pass, EngineConfig, StreamingEngine};
-use dmfstream::mixalgo::BaseAlgorithm;
+use dmfstream::mixalgo::AlgorithmId;
 use dmfstream::sched::SchedulerKind;
 use dmfstream::sim::Simulator;
 use dmfstream::workloads::protocols;
@@ -15,7 +15,7 @@ use dmfstream::workloads::protocols;
 #[test]
 fn all_protocols_all_algorithms_all_schedulers_plan_cleanly() {
     for protocol in protocols::table2_examples() {
-        for algorithm in BaseAlgorithm::ALL {
+        for algorithm in AlgorithmId::BASELINES {
             for scheduler in SchedulerKind::ALL {
                 let config =
                     EngineConfig::default().with_algorithm(algorithm).with_scheduler(scheduler);
@@ -41,7 +41,7 @@ fn all_protocols_all_algorithms_all_schedulers_plan_cleanly() {
 fn streaming_always_beats_its_repeated_baseline_on_reactant() {
     use dmfstream::engine::repeated;
     for protocol in protocols::table2_examples() {
-        for algorithm in BaseAlgorithm::ALL {
+        for algorithm in AlgorithmId::BASELINES {
             let config = EngineConfig::default().with_algorithm(algorithm);
             let engine = StreamingEngine::new(config);
             let plan = engine.plan(&protocol.ratio, 32).unwrap();

@@ -8,7 +8,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmfstream::engine::{improvement_over_baseline, repeated, EngineConfig, StreamingEngine};
 use dmfstream::forest::{build_forest, ReusePolicy};
-use dmfstream::mixalgo::{BaseAlgorithm, MinMix, MixingAlgorithm};
+use dmfstream::mixalgo::{AlgorithmId, MinMix, MixingAlgorithm};
 use dmfstream::ratio::TargetRatio;
 use dmfstream::sched::{mixer_lower_bound, oms_schedule, srs_schedule};
 
@@ -68,7 +68,7 @@ fn section5_mlb_is_three() {
 fn headline_improvement_on_pcr() {
     let target = pcr_d4();
     let plan = StreamingEngine::new(EngineConfig::default()).plan(&target, 20).unwrap();
-    let baseline = repeated(BaseAlgorithm::MinMix, &target, 20, plan.mixers).unwrap();
+    let baseline = repeated(AlgorithmId::MINMIX, &target, 20, plan.mixers).unwrap();
     let imp = improvement_over_baseline(&plan, &baseline);
     assert!((imp.time_pct - 72.5).abs() < 0.1, "ΔTc = {:.2}%", imp.time_pct);
     assert!(imp.input_pct > 60.0, "ΔI = {:.2}%", imp.input_pct);

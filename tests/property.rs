@@ -12,7 +12,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmf_rng::{Rng, SeedableRng, StdRng};
 use dmfstream::forest::{build_forest, ReusePolicy};
-use dmfstream::mixalgo::BaseAlgorithm;
+use dmfstream::mixalgo::{AlgorithmId, MinMix, MixingAlgorithm};
 use dmfstream::ratio::TargetRatio;
 use dmfstream::sched::{mms_schedule, oms_schedule, srs_schedule};
 
@@ -47,7 +47,7 @@ fn base_trees_realise_the_target() {
     let mut rng = StdRng::seed_from_u64(0xB45E);
     for _ in 0..64 {
         let target = random_target(&mut rng);
-        for algorithm in BaseAlgorithm::ALL {
+        for algorithm in AlgorithmId::BASELINES {
             let graph = algorithm.algorithm().build_graph(&target).unwrap();
             graph.validate().unwrap();
             let stats = graph.stats();
@@ -71,7 +71,7 @@ fn forests_conserve_droplets() {
     for _ in 0..64 {
         let target = random_target(&mut rng);
         let demand = rng.gen_range(1u64..40);
-        let template = BaseAlgorithm::MinMix.algorithm().build_template(&target).unwrap();
+        let template = MinMix.build_template(&target).unwrap();
         let base_inputs = template.leaf_counts().iter().sum::<u64>();
         for policy in [ReusePolicy::AcrossTrees, ReusePolicy::Eager] {
             let forest = build_forest(&template, &target, demand, policy).unwrap();
@@ -92,7 +92,7 @@ fn full_cycle_demand_is_waste_free() {
     for _ in 0..64 {
         let target = random_target(&mut rng);
         let p = rng.gen_range(1u64..4);
-        let template = BaseAlgorithm::MinMix.algorithm().build_template(&target).unwrap();
+        let template = MinMix.build_template(&target).unwrap();
         let d = template.depth();
         let demand = p << d;
         let forest = build_forest(&template, &target, demand, ReusePolicy::AcrossTrees).unwrap();
@@ -109,7 +109,7 @@ fn schedules_are_valid_and_bounded() {
         let target = random_target(&mut rng);
         let demand = rng.gen_range(2u64..24);
         let mixers = rng.gen_range(1usize..6);
-        let template = BaseAlgorithm::MinMix.algorithm().build_template(&target).unwrap();
+        let template = MinMix.build_template(&target).unwrap();
         let forest = build_forest(&template, &target, demand, ReusePolicy::AcrossTrees).unwrap();
         let lb = (forest.node_count() as u32).div_ceil(mixers as u32).max(forest.depth());
         for schedule in [
@@ -137,7 +137,7 @@ fn oms_reaches_critical_path() {
     let mut rng = StdRng::seed_from_u64(0x0117);
     for _ in 0..64 {
         let target = random_target(&mut rng);
-        let tree = BaseAlgorithm::MinMix.algorithm().build_graph(&target).unwrap();
+        let tree = MinMix.build_graph(&target).unwrap();
         let schedule = oms_schedule(&tree, tree.node_count().max(1)).unwrap();
         assert_eq!(schedule.makespan(), tree.depth(), "target {target:?}");
     }
