@@ -25,10 +25,10 @@ pub mod micro;
 
 use dmf_chip::CostMatrix;
 use dmf_engine::{EngineConfig, MixerBudget, PassPlan, StreamPlan, StreamingEngine};
-use dmf_mixalgo::{AlgorithmId, Capabilities, MinMix, MixingAlgorithm, MixingAlgorithmRegistry};
+use dmf_mixalgo::{AlgorithmId, Capabilities, MixingAlgorithmRegistry};
 use dmf_mixgraph::{NodeId, Operand};
 use dmf_ratio::TargetRatio;
-use dmf_sched::{mixer_lower_bound, SchedulerKind};
+use dmf_sched::SchedulerKind;
 
 /// The nine evaluation schemes of Table 2, in column order A–I.
 ///
@@ -106,7 +106,7 @@ pub fn run_scheme(
     demand: u64,
 ) -> Result<SchemeResult, dmf_engine::EngineError> {
     let _span = dmf_obs::span!("bench_scheme");
-    let mixers = minmix_mlb(target)?;
+    let mixers = StreamingEngine::new(EngineConfig::default()).mixer_count(target)?;
     match scheme {
         Scheme::Repeated(algorithm) => {
             let baseline = dmf_engine::repeated(algorithm, target, demand, mixers)?;
@@ -164,7 +164,7 @@ pub fn run_schemes_batch(
         let key = (target.accuracy(), target.parts().to_vec());
         let mixers = match mlb.get(&key) {
             Some(&m) => m,
-            None => match minmix_mlb(target) {
+            None => match StreamingEngine::new(EngineConfig::default()).mixer_count(target) {
                 Ok(m) => {
                     mlb.insert(key, m);
                     m
@@ -218,13 +218,6 @@ pub fn run_schemes_batch(
             })
         })
         .collect()
-}
-
-/// `Mlb` of the target's MinMix tree — the mixer budget every Table 2
-/// scheme runs with.
-fn minmix_mlb(target: &TargetRatio) -> Result<usize, dmf_engine::EngineError> {
-    let mm = MinMix.build_graph(target)?;
-    Ok(mixer_lower_bound(&mm)?)
 }
 
 /// Enables the global [`dmf_obs`] recorder when the `DMF_OBS` environment

@@ -182,7 +182,7 @@ pub struct PlanCache {
 
 impl Default for PlanCache {
     fn default() -> Self {
-        PlanCache::with_capacity(DEFAULT_PLAN_CACHE_CAPACITY)
+        PlanCache::with_capacity_and_shards(DEFAULT_PLAN_CACHE_CAPACITY, default_shard_count())
     }
 }
 
@@ -195,17 +195,10 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// An empty cache holding at most `capacity` plans across
-    /// [`default_shard_count`] shards. A capacity of zero is clamped to
-    /// one (a cache that cannot hold anything would turn every warm
-    /// lookup into a replan, silently).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        PlanCache::with_capacity_and_shards(capacity, default_shard_count())
-    }
-
     /// An empty cache holding at most `capacity` plans across `shards`
-    /// independently locked shards.
+    /// independently locked shards. A capacity of zero is clamped to one
+    /// (a cache that cannot hold anything would turn every warm lookup
+    /// into a replan, silently).
     ///
     /// The shard count is clamped to `1..=`[`MAX_PLAN_CACHE_SHARDS`] and
     /// never exceeds the capacity, so every shard holds at least one
@@ -228,13 +221,6 @@ impl PlanCache {
     #[must_use]
     pub fn shared() -> Arc<Self> {
         Arc::new(PlanCache::new())
-    }
-
-    /// An empty bounded cache ready to share across engines and worker
-    /// threads.
-    #[must_use]
-    pub fn shared_with_capacity(capacity: usize) -> Arc<Self> {
-        Arc::new(PlanCache::with_capacity(capacity))
     }
 
     /// An empty bounded cache with an explicit shard count (see
@@ -532,7 +518,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_is_clamped_to_one() {
-        let cache = PlanCache::with_capacity(0);
+        let cache = PlanCache::with_capacity_and_shards(0, 2);
         assert_eq!(cache.capacity(), 1);
         assert_eq!(cache.shard_count(), 1);
         let config = EngineConfig::default();

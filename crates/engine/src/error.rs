@@ -58,7 +58,7 @@ pub enum EngineError {
         what: String,
     },
     /// An internal invariant was violated — a bug in the engine itself
-    /// (e.g. a pipeline stage ran out of order, or the pass compiler lost
+    /// (e.g. a planner step ran before `build_tree`, or the pass compiler lost
     /// track of a droplet), surfaced as a typed error instead of a panic.
     Internal {
         /// Human-readable description of the violated invariant.

@@ -43,7 +43,7 @@ mod check;
 mod compare;
 mod config;
 mod error;
-pub mod pipeline;
+mod pipeline;
 mod plan;
 mod realize;
 mod recovery;
@@ -57,9 +57,7 @@ pub use check::static_check;
 pub use compare::{improvement_over_baseline, repeated, Improvement};
 pub use config::{EngineConfig, MixerBudget};
 pub use error::EngineError;
-pub use pipeline::{
-    BuildForest, BuildTree, MetaStage, Pipeline, PlanContext, Schedule, SplitPasses, Stage,
-};
+pub use pipeline::PlanContext;
 pub use plan::{PassPlan, StreamPlan, StreamingEngine};
 pub use realize::realize_pass;
 pub use recovery::{RecoveryPlan, RecoveryPolicy};

@@ -91,8 +91,8 @@ impl fmt::Display for StreamPlan {
 
 /// The demand-driven mixture-preparation engine (see crate docs).
 ///
-/// `plan` is a thin facade over the staged pipeline in [`crate::pipeline`]
-/// (`BuildTree → BuildForest → Schedule → SplitPasses`); an optional
+/// `plan` is a thin facade over the [`PlanContext`] steps
+/// (`build_tree → split_passes → into_plan`); an optional
 /// content-addressed [`PlanCache`] (see [`StreamingEngine::with_cache`])
 /// short-circuits repeat requests.
 #[derive(Debug, Clone, Default)]
@@ -154,7 +154,10 @@ impl StreamingEngine {
     /// the storage budget, and propagates construction/scheduling failures.
     pub fn plan(&self, target: &TargetRatio, demand: u64) -> Result<StreamPlan, EngineError> {
         match &self.cache {
-            None => self.plan_uncached(target, demand),
+            None => {
+                preflight(target, demand)?;
+                self.plan_uncached(target, demand)
+            }
             Some(_) => self.plan_shared(target, demand).map(|plan| (*plan).clone()),
         }
     }
@@ -204,12 +207,13 @@ impl StreamingEngine {
         preflight(target, demand)
     }
 
-    /// Runs the staged pipeline end to end, bypassing any cache.
+    /// Runs the planner steps end to end, bypassing any cache. The caller
+    /// has already run [`preflight`] on the request.
     fn plan_uncached(&self, target: &TargetRatio, demand: u64) -> Result<StreamPlan, EngineError> {
-        preflight(target, demand)?;
         let _span = dmf_obs::span!("engine_plan");
         let mut ctx = PlanContext::new(self.config, target, demand)?;
-        crate::Pipeline::standard().run(&mut ctx)?;
+        ctx.build_tree()?;
+        ctx.split_passes()?;
         ctx.into_plan()
     }
 }
@@ -217,7 +221,7 @@ impl StreamingEngine {
 /// The feasibility gate run before any planning work: zero demand keeps
 /// its historical typed error, then the dmf-check mixability pre-pass
 /// rejects CF vectors unreachable under the (1:1)-mix algebra. Infeasible
-/// requests never reach the pipeline — or the plan cache.
+/// requests never reach the planner — or the plan cache.
 fn preflight(target: &TargetRatio, demand: u64) -> Result<(), EngineError> {
     if demand == 0 {
         return Err(EngineError::ZeroDemand);

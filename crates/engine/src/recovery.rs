@@ -74,7 +74,7 @@ impl StreamingEngine {
     ///
     /// Counts `recovery.replans` and runs under the `recovery_plan` span
     /// when the global recorder is enabled. With span trees, the replan's
-    /// `engine_plan` (and its pipeline stages) nests under `recovery_plan`,
+    /// `engine_plan` (and its planner steps) nests under `recovery_plan`,
     /// so profile reports attribute recovery overhead separately from
     /// first-attempt planning instead of folding both into one bucket.
     ///

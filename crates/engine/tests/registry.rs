@@ -4,9 +4,10 @@
 //!   protocols byte-identically whether the config is built from the
 //!   constant handles (`AlgorithmId::MINMIX`, `SchedulerKind::Srs`, …) or
 //!   from handles resolved by wire key;
-//! * each `MetaStage`-wrapped stage emits exactly one span per run under
-//!   its legacy name, correctly parented (`stage_build_forest` and
-//!   `stage_schedule` nest under `stage_split_passes`);
+//! * each planner step emits one span per run under its stable name,
+//!   correctly parented (every `stage_build_forest` and `stage_schedule`
+//!   nests under the single `stage_split_passes`), and bumps the counter
+//!   of the same name;
 //! * a brand-new algorithm registered from the outside — no edits to the
 //!   engine — reaches
 //!   `PlanRequest::with_algorithm` and `plan_batch`.
@@ -94,37 +95,48 @@ fn every_stage_emits_one_span_under_its_legacy_name() {
     let recorder = dmf_obs::global();
     recorder.set_enabled(true);
     let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).unwrap();
-    let root = recorder.span("test_root");
-    let (trace_id, root_id) = root.ids().unwrap();
-    StreamingEngine::new(EngineConfig::default()).plan(&target, 20).unwrap();
-    drop(root);
-    let spans = recorder.trace_spans(trace_id);
-
-    let find = |name: &str| -> Vec<&dmf_obs::SpanRecord> {
-        spans.iter().filter(|s| s.name == name).collect()
-    };
-    // Exactly one span per stage, under the legacy stage names.
-    let engine_plan = find("engine_plan");
-    assert_eq!(engine_plan.len(), 1, "{spans:#?}");
-    for stage in ["stage_build_tree", "stage_build_forest", "stage_schedule", "stage_split_passes"]
+    // Unconstrained, one pass; under q' = 3 the §6 scan builds and
+    // schedules 11 candidate passes.
+    for (config, pass_runs) in
+        [(EngineConfig::default(), 1), (EngineConfig::default().with_storage_limit(3), 11)]
     {
-        assert_eq!(find(stage).len(), 1, "expected exactly one {stage} span\n{spans:#?}");
+        let root = recorder.span("test_root");
+        let (trace_id, root_id) = root.ids().unwrap();
+        StreamingEngine::new(config).plan(&target, 20).unwrap();
+        drop(root);
+        let spans = recorder.trace_spans(trace_id);
+
+        let find = |name: &str| -> Vec<&dmf_obs::SpanRecord> {
+            spans.iter().filter(|s| s.name == name).collect()
+        };
+        // One span per step run, under the legacy stage names.
+        let engine_plan = find("engine_plan");
+        assert_eq!(engine_plan.len(), 1, "{spans:#?}");
+        for (stage, runs) in [
+            ("stage_build_tree", 1),
+            ("stage_build_forest", pass_runs),
+            ("stage_schedule", pass_runs),
+            ("stage_split_passes", 1),
+        ] {
+            assert_eq!(find(stage).len(), runs, "expected {runs} {stage} spans\n{spans:#?}");
+        }
+        // Parenting: engine_plan under the root; build_tree and
+        // split_passes under engine_plan; every per-pass forest/schedule
+        // step under the single split_passes, which runs them.
+        assert_eq!(engine_plan[0].parent_id, root_id);
+        let engine_id = engine_plan[0].span_id;
+        assert_eq!(find("stage_build_tree")[0].parent_id, engine_id);
+        let split = find("stage_split_passes")[0];
+        assert_eq!(split.parent_id, engine_id);
+        for stage in ["stage_build_forest", "stage_schedule"] {
+            assert!(find(stage).iter().all(|s| s.parent_id == split.span_id), "{spans:#?}");
+        }
+        // The base-tree construction span stays nested inside its stage.
+        assert_eq!(
+            find("mixalgo_build").first().map(|s| s.parent_id),
+            Some(find("stage_build_tree")[0].span_id)
+        );
     }
-    // Parenting: engine_plan under the root; build_tree and split_passes
-    // under engine_plan; the per-pass forest/schedule stages under
-    // split_passes (SplitPasses drives them through their own MetaStage).
-    assert_eq!(engine_plan[0].parent_id, root_id);
-    let engine_id = engine_plan[0].span_id;
-    assert_eq!(find("stage_build_tree")[0].parent_id, engine_id);
-    let split = find("stage_split_passes")[0];
-    assert_eq!(split.parent_id, engine_id);
-    assert_eq!(find("stage_build_forest")[0].parent_id, split.span_id);
-    assert_eq!(find("stage_schedule")[0].parent_id, split.span_id);
-    // The base-tree construction span stays nested inside its stage.
-    assert_eq!(
-        find("mixalgo_build").first().map(|s| s.parent_id),
-        Some(find("stage_build_tree")[0].span_id)
-    );
 }
 
 #[test]
@@ -133,9 +145,17 @@ fn per_stage_counters_track_runs() {
     let recorder = dmf_obs::global();
     recorder.set_enabled(true);
     let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).unwrap();
-    let before = recorder.counter("stage_build_tree");
-    StreamingEngine::new(EngineConfig::default()).plan(&target, 20).unwrap();
-    assert_eq!(recorder.counter("stage_build_tree"), before + 1);
+    const STAGES: [&str; 4] =
+        ["stage_build_tree", "stage_build_forest", "stage_schedule", "stage_split_passes"];
+    let runs = |config: EngineConfig| -> Vec<u64> {
+        let before = STAGES.map(|stage| recorder.counter(stage));
+        StreamingEngine::new(config).plan(&target, 20).unwrap();
+        STAGES.iter().zip(before).map(|(stage, b)| recorder.counter(stage) - b).collect()
+    };
+    // One pass: every step runs once.
+    assert_eq!(runs(EngineConfig::default()), [1, 1, 1, 1]);
+    // Under q' = 3 the §6 scan builds and schedules 11 candidate passes.
+    assert_eq!(runs(EngineConfig::default().with_storage_limit(3)), [1, 11, 11, 1]);
 }
 
 /// A test-only algorithm that wraps MinMix under a new name — the

@@ -1,4 +1,4 @@
-//! Differential test of the §6 storage-split search (`SplitPasses`).
+//! Differential test of the §6 storage-split search (`PlanContext::split_passes`).
 //!
 //! The reference below is the plain linear scan of the paper's multi-pass
 //! engine, written against the public stage methods: for every pass it

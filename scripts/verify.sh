@@ -158,7 +158,7 @@ fi
 echo "==> bench_obs (tracing overhead gate: enabled sweep <= 10% over disabled)"
 cargo run --release -q -p dmf-bench --bin bench_obs -- /tmp/dmf_bench_obs.json >/dev/null
 
-echo "==> profile smoke (exporters: folded stacks well-formed, chrome trace parses back)"
+echo "==> profile smoke (exporters: folded stacks well-formed, chrome trace parses back; span tree matches results/profile_stacks.txt)"
 profile_out=$(target/release/dmfstream profile 2:1:1:1:1:1:9 --demand 20 \
   --folded /tmp/dmf_profile.folded --chrome /tmp/dmf_profile.trace.json)
 printf '%s\n' "$profile_out" | grep -q '^chrome trace parse OK: [1-9][0-9]* events$' || {
@@ -174,6 +174,12 @@ grep -q '^dmfstream_profile;engine_plan' /tmp/dmf_profile.folded || {
   echo "profile smoke: folded stacks missing the engine_plan tree"
   exit 1
 }
+# The planner's span tree under a storage budget (every step, the §6 scan
+# nesting forest/schedule under split_passes) must match the golden file.
+target/release/dmfstream profile 2:1:1:1:1:1:9 --demand 20 --storage 3 \
+  --folded /tmp/dmf_profile_q3.folded >/dev/null
+cut -d' ' -f1 /tmp/dmf_profile_q3.folded | LC_ALL=C sort -u > /tmp/dmf_profile_stacks.txt
+diff results/profile_stacks.txt /tmp/dmf_profile_stacks.txt
 
 echo "==> serve smoke (served plan must match dmfstream plan; clean shutdown)"
 serve_log=$(mktemp)
