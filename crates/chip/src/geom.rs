@@ -59,6 +59,76 @@ impl fmt::Display for Coord {
     }
 }
 
+/// Row-major numbering of the cells of a `width × height` electrode array:
+/// cell `(x, y)` is number `y · width + x`.
+///
+/// Dense per-cell state — the router's blocked bitmap, the simulator's
+/// module index, occupancy and wear counters — is a `Vec` of
+/// [`CellIndex::len`] entries addressed through [`CellIndex::index`].
+///
+/// # Examples
+///
+/// ```
+/// use dmf_chip::{CellIndex, Coord};
+///
+/// let cells = CellIndex::new(4, 3).expect("12 cells fit in usize");
+/// assert_eq!(cells.len(), 12);
+/// assert_eq!(cells.index(Coord::new(1, 2)), Some(9));
+/// assert_eq!(cells.index(Coord::new(4, 0)), None);
+/// assert_eq!(cells.coords().nth(9), Some(Coord::new(1, 2)));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CellIndex {
+    width: i32,
+    height: i32,
+    len: usize,
+}
+
+impl CellIndex {
+    /// Numbers a `width × height` array; a non-positive dimension gives an
+    /// empty one. `None` when the cell count does not fit in `usize`.
+    pub fn new(width: i32, height: i32) -> Option<Self> {
+        let (width, height) = (width.max(0), height.max(0));
+        let len = usize::try_from(width).ok()?.checked_mul(usize::try_from(height).ok()?)?;
+        Some(CellIndex { width, height, len })
+    }
+
+    /// Array width (0 for an empty array).
+    pub fn width(self) -> i32 {
+        self.width
+    }
+
+    /// Array height (0 for an empty array).
+    pub fn height(self) -> i32 {
+        self.height
+    }
+
+    /// Number of cells.
+    pub fn len(self) -> usize {
+        self.len
+    }
+
+    /// Whether the array has no cells.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The number of cell `c`, or `None` when `c` lies off the array.
+    pub fn index(self, c: Coord) -> Option<usize> {
+        if c.x < 0 || c.x >= self.width || c.y < 0 || c.y >= self.height {
+            return None;
+        }
+        // On the array, so both coordinates are non-negative and the
+        // result is below `len`, which fits in `usize`.
+        Some(c.y as usize * self.width as usize + c.x as usize)
+    }
+
+    /// Every cell in number order (row-major).
+    pub fn coords(self) -> impl Iterator<Item = Coord> {
+        (0..self.height).flat_map(move |y| (0..self.width).map(move |x| Coord::new(x, y)))
+    }
+}
+
 /// An axis-aligned rectangle of electrodes (module footprint).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rect {
@@ -186,5 +256,27 @@ mod tests {
     fn center_of_even_rect() {
         assert_eq!(Rect::new(0, 0, 2, 2).center(), Coord::new(0, 0));
         assert_eq!(Rect::new(1, 1, 3, 3).center(), Coord::new(2, 2));
+    }
+
+    #[test]
+    fn cell_index_round_trips_row_major() {
+        let cells = CellIndex::new(5, 3).unwrap();
+        assert_eq!(cells.len(), 15);
+        for (i, c) in cells.coords().enumerate() {
+            assert_eq!(cells.index(c), Some(i));
+        }
+        for off in [Coord::new(-1, 0), Coord::new(5, 0), Coord::new(0, -1), Coord::new(0, 3)] {
+            assert_eq!(cells.index(off), None);
+        }
+    }
+
+    #[test]
+    fn degenerate_cell_index_is_empty() {
+        for (w, h) in [(0, 4), (4, 0), (-3, 2)] {
+            let cells = CellIndex::new(w, h).unwrap();
+            assert!(cells.is_empty());
+            assert_eq!(cells.index(Coord::new(0, 0)), None);
+            assert_eq!(cells.coords().count(), 0);
+        }
     }
 }

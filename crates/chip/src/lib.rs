@@ -45,7 +45,7 @@ mod svg;
 
 pub use cost::CostMatrix;
 pub use error::ChipError;
-pub use geom::{Coord, Rect};
+pub use geom::{CellIndex, Coord, Rect};
 pub use module::{Module, ModuleId, ModuleKind};
 pub use place::{FlowMatrix, PlacementConfig, PlacementContext, PlacementRequest, Placer, WearMap};
 pub use spec::ChipSpec;

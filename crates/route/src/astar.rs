@@ -1,6 +1,6 @@
 use crate::{Grid, RouteError};
 use dmf_chip::Coord;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 
 /// A* shortest path for a single droplet among static obstacles.
 ///
@@ -31,39 +31,44 @@ pub fn shortest_path(
     to: Coord,
     avoid: &HashSet<Coord>,
 ) -> Option<Vec<Coord>> {
-    // Endpoints may sit on blocked or avoided cells (module ports live
-    // inside footprints); everything else must be passable and un-avoided.
-    let ok = |c: Coord| c == from || c == to || (grid.passable(c) && !avoid.contains(&c));
-    let in_bounds = |c: Coord| c.x >= 0 && c.x < grid.width() && c.y >= 0 && c.y < grid.height();
-    if !in_bounds(from) || !in_bounds(to) {
-        return None;
-    }
+    let cells = grid.cells();
+    // Both endpoints must lie on the grid.
+    let start = cells.index(from)?;
+    cells.index(to)?;
     // Min-heap keyed by f = g + h.
     let mut open: BinaryHeap<(std::cmp::Reverse<u32>, Coord)> = BinaryHeap::new();
-    let mut g_score: HashMap<Coord, u32> = HashMap::new();
-    let mut came: HashMap<Coord, Coord> = HashMap::new();
-    g_score.insert(from, 0);
+    // Best known cost and predecessor per cell, numbered row-major.
+    let mut g_score = vec![u32::MAX; cells.len()];
+    let mut came = vec![from; cells.len()];
+    g_score[start] = 0;
     open.push((std::cmp::Reverse(from.manhattan(to)), from));
     while let Some((_, current)) = open.pop() {
         if current == to {
             let mut path = vec![current];
             let mut c = current;
-            while let Some(&prev) = came.get(&c) {
-                path.push(prev);
-                c = prev;
+            while c != from {
+                c = came[cells.index(c)?];
+                path.push(c);
             }
             path.reverse();
             return Some(path);
         }
-        let g = g_score[&current];
+        let g = g_score[cells.index(current)?];
         for next in current.orthogonal_neighbors() {
-            if !ok(next) {
+            let Some(i) = cells.index(next) else {
+                continue;
+            };
+            // Endpoints may sit on blocked or avoided cells (module ports
+            // live inside footprints); everything else must be passable
+            // and un-avoided.
+            let ok = next == from || next == to || (!grid.is_blocked(i) && !avoid.contains(&next));
+            if !ok {
                 continue;
             }
             let tentative = g + 1;
-            if tentative < g_score.get(&next).copied().unwrap_or(u32::MAX) {
-                g_score.insert(next, tentative);
-                came.insert(next, current);
+            if tentative < g_score[i] {
+                g_score[i] = tentative;
+                came[i] = current;
                 open.push((std::cmp::Reverse(tentative + next.manhattan(to)), next));
             }
         }

@@ -1,19 +1,23 @@
-use dmf_chip::{ChipSpec, Coord};
-use std::collections::HashSet;
+use dmf_chip::{CellIndex, ChipSpec, Coord};
 
 /// The routable electrode field: grid bounds plus permanently blocked cells
-/// (module footprints and defective electrodes).
+/// (module footprints and defective electrodes), kept as a row-major
+/// bitmap over [`CellIndex`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Grid {
-    width: i32,
-    height: i32,
-    blocked: HashSet<Coord>,
+    cells: CellIndex,
+    /// One entry per cell, numbered by `cells`.
+    blocked: Vec<bool>,
 }
 
 impl Grid {
     /// An open grid with no blocked cells.
+    ///
+    /// A grid whose cell count does not fit in `usize` (possible only
+    /// where `usize` is 32 bits wide) is built empty: no cell is passable.
     pub fn new(width: i32, height: i32) -> Self {
-        Grid { width, height, blocked: HashSet::new() }
+        let cells = CellIndex::new(width, height).unwrap_or_default();
+        Grid { cells, blocked: vec![false; cells.len()] }
     }
 
     /// Builds the routing grid of a chip, blocking every module footprint
@@ -34,32 +38,41 @@ impl Grid {
 
     /// Grid width.
     pub fn width(&self) -> i32 {
-        self.width
+        self.cells.width()
     }
 
     /// Grid height.
     pub fn height(&self) -> i32 {
-        self.height
+        self.cells.height()
     }
 
-    /// Marks a cell as permanently unusable.
+    /// The row-major numbering of the grid's cells.
+    pub(crate) fn cells(&self) -> CellIndex {
+        self.cells
+    }
+
+    /// Marks a cell as permanently unusable (a no-op off the grid).
     pub fn block(&mut self, c: Coord) {
-        self.blocked.insert(c);
+        if let Some(i) = self.cells.index(c) {
+            self.blocked[i] = true;
+        }
     }
 
     /// Unmarks a blocked cell.
     pub fn unblock(&mut self, c: Coord) {
-        self.blocked.remove(&c);
+        if let Some(i) = self.cells.index(c) {
+            self.blocked[i] = false;
+        }
     }
 
     /// Whether `c` is on the grid and not blocked.
     pub fn passable(&self, c: Coord) -> bool {
-        c.x >= 0 && c.x < self.width && c.y >= 0 && c.y < self.height && !self.blocked.contains(&c)
+        self.cells.index(c).is_some_and(|i| !self.blocked[i])
     }
 
-    /// The blocked-cell set.
-    pub fn blocked(&self) -> &HashSet<Coord> {
-        &self.blocked
+    /// Whether cell number `i` (see [`Grid::cells`]) is blocked.
+    pub(crate) fn is_blocked(&self, i: usize) -> bool {
+        self.blocked[i]
     }
 }
 
@@ -74,6 +87,9 @@ mod tests {
         assert!(g.passable(Coord::new(0, 0)));
         assert!(!g.passable(Coord::new(4, 0)));
         assert!(!g.passable(Coord::new(-1, 2)));
+        // Blocking off the grid is a no-op.
+        g.block(Coord::new(4, 0));
+        assert_eq!(g, Grid::new(4, 4));
         g.block(Coord::new(2, 2));
         assert!(!g.passable(Coord::new(2, 2)));
         g.unblock(Coord::new(2, 2));

@@ -39,7 +39,8 @@ pub enum SimError {
     FluidicViolation {
         /// The moving droplet.
         moving: DropletId,
-        /// The parked droplet it approached.
+        /// The parked droplet it approached (the lowest id when the hop
+        /// approached several).
         parked: DropletId,
         /// Where the contact happened.
         at: Coord,
@@ -72,7 +73,8 @@ pub enum SimError {
     PinConflict {
         /// The droplet whose dispense or hop drove the shared pin.
         moving: DropletId,
-        /// The parked droplet endangered by the ghost actuation.
+        /// The parked droplet endangered by the ghost actuation (the
+        /// lowest id when it endangered several).
         parked: DropletId,
         /// The electrode intentionally actuated.
         actuated: Coord,

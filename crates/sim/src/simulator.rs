@@ -2,7 +2,7 @@ use crate::{
     ChipProgram, DropletId, FaultKind, FaultRecord, FaultyOutcome, InjectedFaults, Instruction,
     SimError, SimReport, Trace,
 };
-use dmf_chip::{ChipSpec, Coord, ModuleId, ModuleKind};
+use dmf_chip::{CellIndex, ChipSpec, Coord, Module, ModuleId, ModuleKind};
 use dmf_pins::PinAssignment;
 use dmf_route::{shortest_path, Grid};
 use std::collections::{HashMap, HashSet};
@@ -95,8 +95,7 @@ impl<'a> Simulator<'a> {
         faults: &InjectedFaults,
     ) -> Result<FaultyOutcome, SimError> {
         let _span = dmf_obs::span!("sim_execute");
-        let mut state = SimState::new(self.chip);
-        state.pins = self.pins;
+        let mut state = SimState::new(self.chip, self.pins)?;
         state.trace = Some(Trace::default());
         state.fault = Some(FaultCtx::new(faults.clone()));
         for (step, instruction) in program.instructions().iter().enumerate() {
@@ -106,6 +105,7 @@ impl<'a> Simulator<'a> {
         // End-of-run checkpoint: everything still latent becomes detected
         // and no erroneous droplet survives.
         state.sensor_checkpoint()?;
+        state.fold_wear();
         let ctx = state
             .fault
             .take()
@@ -125,8 +125,7 @@ impl<'a> Simulator<'a> {
         traced: bool,
     ) -> Result<(SimReport, Option<Trace>), SimError> {
         let _span = dmf_obs::span!("sim_execute");
-        let mut state = SimState::new(self.chip);
-        state.pins = self.pins;
+        let mut state = SimState::new(self.chip, self.pins)?;
         if traced {
             state.trace = Some(Trace::default());
         }
@@ -137,6 +136,7 @@ impl<'a> Simulator<'a> {
         if !self.allow_leftovers && !state.droplets.is_empty() {
             return Err(SimError::LeftoverDroplets { count: state.droplets.len() });
         }
+        state.fold_wear();
         crate::bridge::record_report(dmf_obs::global(), &state.report);
         Ok((state.report, state.trace))
     }
@@ -174,8 +174,23 @@ impl FaultCtx {
     }
 }
 
+/// One run's chip state. Per-cell state is dense: `Vec`s with one entry
+/// per electrode, numbered row-major by `cells`.
 struct SimState<'a> {
     chip: &'a ChipSpec,
+    cells: CellIndex,
+    /// The module whose footprint covers each cell. Footprints never touch
+    /// (`ChipSpec` keeps a guard band between modules), so a cell has at
+    /// most one.
+    module_at: Vec<Option<&'a Module>>,
+    /// Droplets on each cell; always agrees with `droplets`.
+    occupancy: Vec<u32>,
+    /// Actuations of each electrode, folded into the report's heatmap by
+    /// [`SimState::fold_wear`] when the run completes.
+    wear: Vec<u32>,
+    /// The grid every ad-hoc route starts from: the chip's dead cells
+    /// blocked, everything else open.
+    dead_grid: Grid,
     droplets: HashMap<DropletId, Coord>,
     storage: HashMap<ModuleId, DropletId>,
     report: SimReport,
@@ -186,17 +201,36 @@ struct SimState<'a> {
 }
 
 impl<'a> SimState<'a> {
-    fn new(chip: &'a ChipSpec) -> Self {
-        SimState {
+    fn new(chip: &'a ChipSpec, pins: Option<&'a PinAssignment>) -> Result<Self, SimError> {
+        let cells = CellIndex::new(chip.width(), chip.height())
+            .ok_or(SimError::Internal { invariant: "chip cell count fits in usize" })?;
+        let mut module_at = vec![None; cells.len()];
+        for m in chip.modules() {
+            for c in m.rect().cells() {
+                if let Some(i) = cells.index(c) {
+                    module_at[i] = Some(m);
+                }
+            }
+        }
+        let mut dead_grid = Grid::new(chip.width(), chip.height());
+        for cell in chip.dead_cells() {
+            dead_grid.block(cell);
+        }
+        Ok(SimState {
             chip,
+            cells,
+            module_at,
+            occupancy: vec![0; cells.len()],
+            wear: vec![0; cells.len()],
+            dead_grid,
             droplets: HashMap::new(),
             storage: HashMap::new(),
             report: SimReport::default(),
             trace: None,
             step: 0,
             fault: None,
-            pins: None,
-        }
+            pins,
+        })
     }
 
     /// The fault context, which every fault-mode handler relies on.
@@ -228,19 +262,14 @@ impl<'a> SimState<'a> {
                     return Err(SimError::DuplicateDroplet { droplet: *droplet });
                 }
                 let port = module.port();
-                if let Some((parked, at)) = self.droplets.iter().find(|(_, &pos)| pos.touches(port))
-                {
-                    return Err(SimError::FluidicViolation {
-                        moving: *droplet,
-                        parked: *parked,
-                        at: *at,
-                    });
+                if neighborhood(port).any(|c| self.occupied(c)) {
+                    let (parked, at) = self.lowest_droplet(*droplet, |at| at.touches(port))?;
+                    return Err(SimError::FluidicViolation { moving: *droplet, parked, at });
                 }
                 self.check_pin_hazard(*droplet, port)?;
-                self.droplets.insert(*droplet, port);
+                self.place(*droplet, port);
                 self.report.dispensed += 1;
-                *self.report.electrode_actuations.entry(port).or_insert(0) += 1;
-                self.ghost_actuate(port);
+                self.actuate(port);
                 self.record(crate::TraceEvent::Dispensed {
                     droplet: *droplet,
                     reservoir: *reservoir,
@@ -248,7 +277,7 @@ impl<'a> SimState<'a> {
                 });
                 Ok(())
             }
-            Instruction::Transport { droplet, path } => self.transport(*droplet, path.clone()),
+            Instruction::Transport { droplet, path } => self.transport(*droplet, path),
             Instruction::TransportTo { droplet, module } => {
                 let target = self
                     .chip
@@ -262,7 +291,7 @@ impl<'a> SimState<'a> {
                 let path = self
                     .route(from, target.port(), *droplet)
                     .ok_or(SimError::NoRoute { droplet: *droplet, module: *module })?;
-                self.transport(*droplet, path)
+                self.transport(*droplet, &path)
             }
             Instruction::MixSplit { mixer, a, b, out_a, out_b } => {
                 let module =
@@ -275,10 +304,10 @@ impl<'a> SimState<'a> {
                         return Err(SimError::DuplicateDroplet { droplet: *out });
                     }
                 }
-                self.droplets.remove(a);
-                self.droplets.remove(b);
-                self.droplets.insert(*out_a, port);
-                self.droplets.insert(*out_b, port);
+                self.lift(*a);
+                self.lift(*b);
+                self.place(*out_a, port);
+                self.place(*out_b, port);
                 self.report.mix_splits += 1;
                 self.record(crate::TraceEvent::Mixed {
                     mixer: *mixer,
@@ -311,7 +340,7 @@ impl<'a> SimState<'a> {
                 let module = self
                     .expect_kind(*waste, "a waste reservoir", |k| matches!(k, ModuleKind::Waste))?;
                 self.expect_at(*droplet, module.port())?;
-                self.droplets.remove(droplet);
+                self.lift(*droplet);
                 self.report.discarded += 1;
                 self.record(crate::TraceEvent::Discarded { droplet: *droplet });
                 Ok(())
@@ -320,7 +349,7 @@ impl<'a> SimState<'a> {
                 let module = self
                     .expect_kind(*output, "an output port", |k| matches!(k, ModuleKind::Output))?;
                 self.expect_at(*droplet, module.port())?;
-                self.droplets.remove(droplet);
+                self.lift(*droplet);
                 self.report.emitted += 1;
                 self.record(crate::TraceEvent::Emitted { droplet: *droplet });
                 Ok(())
@@ -361,11 +390,91 @@ impl<'a> SimState<'a> {
         Ok(m)
     }
 
-    /// Cells a moving droplet must not touch: positions of every other
-    /// droplet that is parked on an open cell (droplets inside module
-    /// footprints are shielded by the module geometry).
-    fn parked_guard(&self, moving: DropletId) -> Vec<(DropletId, Coord)> {
-        self.droplets.iter().filter(|(id, _)| **id != moving).map(|(id, pos)| (*id, *pos)).collect()
+    /// Puts `droplet` on `at`, lifting it first if it is already on chip.
+    fn place(&mut self, droplet: DropletId, at: Coord) {
+        if let Some(old) = self.droplets.insert(droplet, at) {
+            self.vacate(old);
+        }
+        self.occupy(at);
+    }
+
+    /// Takes `droplet` off the chip, returning where it was.
+    fn lift(&mut self, droplet: DropletId) -> Option<Coord> {
+        let at = self.droplets.remove(&droplet)?;
+        self.vacate(at);
+        Some(at)
+    }
+
+    fn occupy(&mut self, at: Coord) {
+        if let Some(i) = self.cells.index(at) {
+            self.occupancy[i] += 1;
+        }
+    }
+
+    fn vacate(&mut self, at: Coord) {
+        if let Some(i) = self.cells.index(at) {
+            self.occupancy[i] -= 1;
+        }
+    }
+
+    /// Whether any droplet on the occupancy grid sits on `c`.
+    fn occupied(&self, c: Coord) -> bool {
+        self.cells.index(c).is_some_and(|i| self.occupancy[i] > 0)
+    }
+
+    /// The module whose footprint covers `c`, if any.
+    fn module_at(&self, c: Coord) -> Option<&'a Module> {
+        self.cells.index(c).and_then(|i| self.module_at[i])
+    }
+
+    fn in_module(&self, c: Coord) -> bool {
+        self.module_at(c).is_some()
+    }
+
+    fn in_mixer(&self, c: Coord) -> bool {
+        self.module_at(c).is_some_and(Module::is_mixer)
+    }
+
+    /// Whether `a` and `b` lie in the footprint of one mixer.
+    fn same_mixer(&self, a: Coord, b: Coord) -> bool {
+        matches!(
+            (self.module_at(a), self.module_at(b)),
+            (Some(m), Some(n)) if m.is_mixer() && m.id() == n.id()
+        )
+    }
+
+    /// The lowest-id droplet other than `moving` whose cell satisfies
+    /// `pred`. Errors name it, so a rule broken by several droplets at
+    /// once always reports the same one; the caller has already seen on
+    /// the occupancy grid that one exists.
+    fn lowest_droplet(
+        &self,
+        moving: DropletId,
+        pred: impl Fn(Coord) -> bool,
+    ) -> Result<(DropletId, Coord), SimError> {
+        self.droplets
+            .iter()
+            .filter(|&(&id, &at)| id != moving && pred(at))
+            .map(|(&id, &at)| (id, at))
+            .min()
+            .ok_or(SimError::Internal { invariant: "occupancy grid agrees with droplets" })
+    }
+
+    /// Fluidic gate for `moving` stepping onto `next`: no other droplet
+    /// may touch it, except one shielded inside a module footprint (and
+    /// not on `next` itself) or one in the same mixer footprint, where
+    /// droplets meet to be merged by the mixer itself.
+    fn check_fluidic(&self, moving: DropletId, next: Coord) -> Result<(), SimError> {
+        let violates = |at: Coord| {
+            let shielded = self.in_module(at) && at != next;
+            !shielded && !self.same_mixer(at, next)
+        };
+        if neighborhood(next).any(|at| self.occupied(at) && violates(at)) {
+            let (parked, at) =
+                self.lowest_droplet(moving, |at| next.touches(at) && violates(at))?;
+            return Err(SimError::FluidicViolation { moving, parked, at });
+        }
+        Ok(())
     }
 
     /// Pin-safety gate for an intentional actuation of `actuated` by
@@ -377,31 +486,51 @@ impl<'a> SimState<'a> {
         let Some(pins) = self.pins else {
             return Ok(());
         };
-        let in_module = |c: Coord| self.chip.modules().iter().any(|m| m.rect().contains(c));
-        for (other, at) in self.parked_guard(moving) {
-            if in_module(at) {
-                continue;
-            }
-            if pins.co_activation_conflict(actuated, at) {
-                return Err(SimError::PinConflict { moving, parked: other, actuated, at });
-            }
+        // `co_activation_conflict(actuated, at)` holds exactly when a ghost
+        // of `actuated` fires on one of `at`'s eight neighbours.
+        let exposed = |at: Coord| self.occupied(at) && !self.in_module(at);
+        if pins.ghosts(actuated).any(|g| g.all_neighbors().into_iter().any(exposed)) {
+            let (parked, at) = self.lowest_droplet(moving, |at| {
+                !self.in_module(at) && pins.co_activation_conflict(actuated, at)
+            })?;
+            return Err(SimError::PinConflict { moving, parked, actuated, at });
         }
         Ok(())
     }
 
-    /// Accounts the ghost side of an intentional actuation: every other
-    /// member of the driven pin's group fires too and wears its electrode.
-    fn ghost_actuate(&mut self, actuated: Coord) {
-        let Some(pins) = self.pins else {
-            return;
-        };
-        for g in pins.ghosts(actuated) {
-            self.report.ghost_actuations += 1;
-            *self.report.electrode_actuations.entry(g).or_insert(0) += 1;
+    /// Accounts an intentional actuation of `c`: it wears, and under a
+    /// shared-pin backend every other member of its pin group fires too
+    /// and wears its electrode.
+    fn actuate(&mut self, c: Coord) {
+        self.wear(c);
+        if let Some(pins) = self.pins {
+            for g in pins.ghosts(c) {
+                self.report.ghost_actuations += 1;
+                self.wear(g);
+            }
         }
     }
 
-    fn transport(&mut self, droplet: DropletId, path: Vec<Coord>) -> Result<(), SimError> {
+    fn wear(&mut self, c: Coord) {
+        match self.cells.index(c) {
+            Some(i) => self.wear[i] += 1,
+            // A pin assignment drawn for a larger array can name cells off
+            // this chip; they still count.
+            None => *self.report.electrode_actuations.entry(c).or_insert(0) += 1,
+        }
+    }
+
+    /// Moves the dense wear counters into the report's heatmap, keeping
+    /// only electrodes that were actuated.
+    fn fold_wear(&mut self) {
+        for (c, n) in self.cells.coords().zip(std::mem::take(&mut self.wear)) {
+            if n > 0 {
+                *self.report.electrode_actuations.entry(c).or_insert(0) += n;
+            }
+        }
+    }
+
+    fn transport(&mut self, droplet: DropletId, path: &[Coord]) -> Result<(), SimError> {
         let from = self.position(droplet)?;
         let Some((&first, rest)) = path.split_first() else {
             return Err(SimError::BadPath { droplet, reason: "empty path".into() });
@@ -412,20 +541,13 @@ impl<'a> SimState<'a> {
                 reason: format!("path starts at {first}, droplet is at {from}"),
             });
         }
-        let parked = self.parked_guard(droplet);
-        let in_module = |c: Coord| self.chip.modules().iter().any(|m| m.rect().contains(c));
-        // Contact inside a mixer footprint is legal: droplets meeting there
-        // are about to be merged by the mixer itself.
-        let same_mixer = |a: Coord, b: Coord| {
-            self.chip.mixers().any(|m| m.rect().contains(a) && m.rect().contains(b))
-        };
+        // Off the occupancy grid while it moves, so the gates see only
+        // the other droplets. Every error ends the run, so a failed hop
+        // leaves it off.
+        self.vacate(from);
         let mut pos = from;
         for &next in rest {
-            if next.x < 0
-                || next.x >= self.chip.width()
-                || next.y < 0
-                || next.y >= self.chip.height()
-            {
+            if self.cells.index(next).is_none() {
                 return Err(SimError::BadPath { droplet, reason: format!("{next} off grid") });
             }
             if pos.manhattan(next) > 1 {
@@ -434,28 +556,17 @@ impl<'a> SimState<'a> {
                     reason: format!("non-adjacent hop {pos} -> {next}"),
                 });
             }
-            for &(other, at) in &parked {
-                if !next.touches(at) {
-                    continue;
-                }
-                // Droplets shielded inside a module footprint only conflict
-                // when we land on their very cell; meeting inside a mixer is
-                // the intended merge.
-                let shielded = in_module(at) && at != next;
-                if !shielded && !same_mixer(at, next) {
-                    return Err(SimError::FluidicViolation { moving: droplet, parked: other, at });
-                }
-            }
+            self.check_fluidic(droplet, next)?;
             if pos != next {
                 self.check_pin_hazard(droplet, next)?;
                 self.report.transport_actuations += 1;
-                *self.report.electrode_actuations.entry(next).or_insert(0) += 1;
-                self.ghost_actuate(next);
+                self.actuate(next);
             }
             pos = next;
         }
         let hops = path.windows(2).filter(|w| w[0] != w[1]).count() as u32;
         self.droplets.insert(droplet, pos);
+        self.occupy(pos);
         self.record(crate::TraceEvent::Moved { droplet, from, to: pos, hops });
         Ok(())
     }
@@ -492,7 +603,7 @@ impl<'a> SimState<'a> {
                 if self.is_lost(*droplet) {
                     return Ok(());
                 }
-                self.transport_with_faults(*droplet, path.clone())
+                self.transport_with_faults(*droplet, path)
             }
             Instruction::TransportTo { droplet, module } => {
                 if self.is_lost(*droplet) {
@@ -509,12 +620,12 @@ impl<'a> SimState<'a> {
                     return Ok(());
                 }
                 match self.route(from, to, *droplet) {
-                    Some(path) => self.transport_with_faults(*droplet, path),
+                    Some(path) => self.transport_with_faults(*droplet, &path),
                     None => {
                         // Boxed in (dead electrodes closed every corridor):
                         // the controller abandons the droplet rather than
                         // aborting the whole run.
-                        self.droplets.remove(droplet);
+                        self.lift(*droplet);
                         self.report.droplets_lost += 1;
                         let idx = self.inject(FaultKind::Stranded { at: from }, *droplet)?;
                         self.mark_lost(*droplet, idx)?;
@@ -534,7 +645,7 @@ impl<'a> SimState<'a> {
                     // it cannot contaminate later rendezvous at this port,
                     // and propagate the loss to both outputs.
                     for operand in [*a, *b] {
-                        if !self.is_lost(operand) && self.droplets.remove(&operand).is_some() {
+                        if !self.is_lost(operand) && self.lift(operand).is_some() {
                             self.fault_ctx()?.quarantined.push(operand);
                         }
                     }
@@ -596,7 +707,7 @@ impl<'a> SimState<'a> {
     fn transport_with_faults(
         &mut self,
         droplet: DropletId,
-        path: Vec<Coord>,
+        path: &[Coord],
     ) -> Result<(), SimError> {
         let dead_at = self.fault.as_ref().and_then(|ctx| {
             path.iter().enumerate().skip(1).find(|(_, c)| ctx.faults.dead_cells.contains(c))
@@ -605,8 +716,8 @@ impl<'a> SimState<'a> {
             None => self.transport(droplet, path),
             Some(i) => {
                 let cell = path[i];
-                self.transport(droplet, path[..=i].to_vec())?;
-                self.droplets.remove(&droplet);
+                self.transport(droplet, &path[..=i])?;
+                self.lift(droplet);
                 self.report.droplets_lost += 1;
                 let idx = self.inject(FaultKind::StuckElectrode { cell }, droplet)?;
                 self.mark_lost(droplet, idx)?;
@@ -671,7 +782,7 @@ impl<'a> SimState<'a> {
     /// A sensor rejects an erroneous droplet to waste: it is removed from
     /// the chip (and storage), discarded, and its record marked detected.
     fn reject(&mut self, droplet: DropletId, idx: usize) -> Result<(), SimError> {
-        self.droplets.remove(&droplet);
+        self.lift(droplet);
         self.storage.retain(|_, d| *d != droplet);
         self.record(crate::TraceEvent::FaultDetected { droplet });
         self.record(crate::TraceEvent::Discarded { droplet });
@@ -717,29 +828,25 @@ impl<'a> SimState<'a> {
         // between ports. (Module interiors are shielded, so crossing a
         // footprint corner is harmless in this abstraction.) Electrodes
         // diagnosed dead on the chip are never routed across.
-        let mut grid = Grid::new(self.chip.width(), self.chip.height());
-        for cell in self.chip.dead_cells() {
-            grid.block(cell);
-        }
-        let mut avoid: HashSet<Coord> = HashSet::new();
-        let in_module = |c: Coord| self.chip.modules().iter().any(|m| m.rect().contains(c));
-        let in_mixer = |c: Coord| self.chip.mixers().any(|m| m.rect().contains(c));
-        for (_, at) in self.parked_guard(moving) {
-            if at == to && !in_mixer(to) {
+        let mut grid = self.dead_grid.clone();
+        let parked =
+            || self.droplets.iter().filter(move |(&id, _)| id != moving).map(|(_, &at)| at);
+        for at in parked() {
+            if at == to && !self.in_mixer(to) {
                 // The destination cell is taken and it is not a mixer
                 // rendezvous: unroutable.
                 return None;
             }
-            if in_module(at) {
+            if self.in_module(at) {
                 // Only the occupied cell itself is off-limits (and a mixer
                 // rendezvous cell not even that).
-                if !(in_mixer(at) && at == to) {
-                    avoid.insert(at);
+                if !(self.in_mixer(at) && at == to) {
+                    grid.block(at);
                 }
             } else {
-                avoid.insert(at);
+                grid.block(at);
                 for n in at.all_neighbors() {
-                    avoid.insert(n);
+                    grid.block(n);
                 }
             }
         }
@@ -748,25 +855,23 @@ impl<'a> SimState<'a> {
             // inside an unshielded parked droplet's exclusion zone is as
             // good as blocked: steer ad-hoc routes around it so the
             // transport's pin-hazard gate never trips on our own paths.
-            let guarded: Vec<Coord> = self
-                .parked_guard(moving)
-                .into_iter()
-                .map(|(_, at)| at)
-                .filter(|&at| !in_module(at))
-                .collect();
+            let guarded: Vec<Coord> = parked().filter(|&at| !self.in_module(at)).collect();
             if !guarded.is_empty() {
-                for y in 0..self.chip.height() {
-                    for x in 0..self.chip.width() {
-                        let c = Coord::new(x, y);
-                        if guarded.iter().any(|&at| pins.co_activation_conflict(c, at)) {
-                            avoid.insert(c);
-                        }
+                for c in self.cells.coords() {
+                    if guarded.iter().any(|&at| pins.co_activation_conflict(c, at)) {
+                        grid.block(c);
                     }
                 }
             }
         }
-        shortest_path(&grid, from, to, &avoid)
+        shortest_path(&grid, from, to, &HashSet::new())
     }
+}
+
+/// `c` and its eight neighbours: every cell within the fluidic
+/// exclusion zone of a droplet on `c`.
+fn neighborhood(c: Coord) -> impl Iterator<Item = Coord> {
+    std::iter::once(c).chain(c.all_neighbors())
 }
 
 #[cfg(test)]
@@ -1018,6 +1123,108 @@ mod tests {
         });
         let err = Simulator::new(&chip).allow_leftovers().run(&p).unwrap_err();
         assert!(matches!(err, SimError::FluidicViolation { .. }));
+    }
+
+    /// Runs `program` through 32 fresh simulators — each with freshly
+    /// seeded hash maps — and returns the one error they all agree on.
+    fn the_only_error(chip: &ChipSpec, pins: Option<&PinAssignment>, p: &ChipProgram) -> SimError {
+        let mut errors: Vec<SimError> = (0..32)
+            .map(|_| {
+                let sim = Simulator::new(chip).allow_leftovers();
+                let sim = match pins {
+                    Some(pins) => sim.with_pins(pins),
+                    None => sim,
+                };
+                sim.run(p).unwrap_err()
+            })
+            .collect();
+        errors.dedup();
+        assert_eq!(errors.len(), 1, "errors vary between runs: {errors:?}");
+        errors.remove(0)
+    }
+
+    #[test]
+    fn fluidic_violation_names_the_lowest_parked_droplet() {
+        // d5 parks at (4,1) and d2 at (4,3); d9's hop onto (3,2) touches
+        // both.
+        let mut chip = ChipSpec::new(9, 5).unwrap();
+        let r1 = chip
+            .add_module("R1", ModuleKind::Reservoir { fluid: 0 }, Rect::new(0, 2, 1, 1))
+            .unwrap();
+        let r2 = chip
+            .add_module("R2", ModuleKind::Reservoir { fluid: 1 }, Rect::new(4, 0, 1, 1))
+            .unwrap();
+        let r3 = chip
+            .add_module("R3", ModuleKind::Reservoir { fluid: 2 }, Rect::new(4, 4, 1, 1))
+            .unwrap();
+        let mut p = ChipProgram::new();
+        for (reservoir, droplet, park) in [(r2, 5, (4, 1)), (r3, 2, (4, 3))] {
+            let port = chip.module(reservoir).port();
+            p.push(Instruction::Dispense { reservoir, droplet: DropletId(droplet) });
+            p.push(Instruction::Transport {
+                droplet: DropletId(droplet),
+                path: vec![port, Coord::new(park.0, park.1)],
+            });
+        }
+        p.push(Instruction::Dispense { reservoir: r1, droplet: DropletId(9) });
+        p.push(Instruction::Transport {
+            droplet: DropletId(9),
+            path: (0..=3).map(|x| Coord::new(x, 2)).collect(),
+        });
+        let err = the_only_error(&chip, None, &p);
+        assert_eq!(
+            err,
+            SimError::FluidicViolation {
+                moving: DropletId(9),
+                parked: DropletId(2),
+                at: Coord::new(4, 3)
+            }
+        );
+    }
+
+    #[test]
+    fn pin_conflict_names_the_lowest_parked_droplet() {
+        // Pitch-5 row sharing on a 13x3 chip: driving (1,1) ghost-fires
+        // (11,1), next to both d7 parked at (12,2) and d3 parked at (10,0).
+        use dmf_pins::{ChipBackend, RowColumn};
+        let mut chip = ChipSpec::new(13, 3).unwrap();
+        let r1 = chip
+            .add_module("R1", ModuleKind::Reservoir { fluid: 0 }, Rect::new(0, 1, 1, 1))
+            .unwrap();
+        let r2 = chip
+            .add_module("R2", ModuleKind::Reservoir { fluid: 1 }, Rect::new(12, 1, 1, 1))
+            .unwrap();
+        let r3 = chip
+            .add_module("R3", ModuleKind::Reservoir { fluid: 2 }, Rect::new(8, 0, 1, 1))
+            .unwrap();
+        let pins = RowColumn::new(5).unwrap().assign_chip(&chip).unwrap();
+        let mut p = ChipProgram::new();
+        p.push(Instruction::Dispense { reservoir: r1, droplet: DropletId(0) });
+        p.push(Instruction::Dispense { reservoir: r2, droplet: DropletId(7) });
+        p.push(Instruction::Transport {
+            droplet: DropletId(7),
+            path: vec![Coord::new(12, 1), Coord::new(12, 2)],
+        });
+        p.push(Instruction::Dispense { reservoir: r3, droplet: DropletId(3) });
+        p.push(Instruction::Transport {
+            droplet: DropletId(3),
+            path: (8..=10).map(|x| Coord::new(x, 0)).collect(),
+        });
+        p.push(Instruction::Transport {
+            droplet: DropletId(0),
+            path: vec![Coord::new(0, 1), Coord::new(1, 1)],
+        });
+        assert!(Simulator::new(&chip).allow_leftovers().run(&p).is_ok());
+        let err = the_only_error(&chip, Some(&pins), &p);
+        assert_eq!(
+            err,
+            SimError::PinConflict {
+                moving: DropletId(0),
+                parked: DropletId(3),
+                actuated: Coord::new(1, 1),
+                at: Coord::new(10, 0)
+            }
+        );
     }
 }
 

@@ -28,6 +28,13 @@ echo "==> table4_passes golden (the whole Table 4 grid must match results/table4
 cargo run --release -q -p dmf-bench --bin table4_passes > /tmp/dmf_table4_passes.txt
 diff results/table4_passes.txt /tmp/dmf_table4_passes.txt
 
+echo "==> simulate golden (PCR at D=20, one pass and --storage 2 multi-pass, with the hottest-electrode lines, must match results/simulate_pcr.txt byte for byte)"
+{
+  target/release/dmfstream simulate 2:1:1:1:1:1:9 --demand 20
+  target/release/dmfstream simulate 2:1:1:1:1:1:9 --demand 20 --storage 2
+} > /tmp/dmf_simulate_pcr.txt
+diff results/simulate_pcr.txt /tmp/dmf_simulate_pcr.txt
+
 echo "==> fault_sweep smoke (fixed seed, all five protocols must meet demand)"
 cargo run --release -q -p dmf-bench --bin fault_sweep -- --seed 42 --fault-rate 0.05 --trials 1 >/dev/null
 

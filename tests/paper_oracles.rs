@@ -6,11 +6,15 @@
 // Test target: the workspace `unwrap_used`/`expect_used`/`panic` deny wall
 // applies to library code only (see Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-use dmfstream::engine::{improvement_over_baseline, repeated, EngineConfig, StreamingEngine};
+use dmfstream::chip::presets::pcr_chip;
+use dmfstream::engine::{
+    improvement_over_baseline, realize_pass, repeated, EngineConfig, StreamingEngine,
+};
 use dmfstream::forest::{build_forest, ReusePolicy};
 use dmfstream::mixalgo::{AlgorithmId, MinMix, MixingAlgorithm};
 use dmfstream::ratio::TargetRatio;
 use dmfstream::sched::{mixer_lower_bound, oms_schedule, srs_schedule};
+use dmfstream::sim::Simulator;
 
 fn pcr_d4() -> TargetRatio {
     TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).expect("paper ratio")
@@ -103,4 +107,28 @@ fn table4_demand_2_row() {
             .unwrap();
         assert_eq!((plan.pass_count(), plan.total_cycles, plan.total_waste), (1, 4, 6));
     }
+}
+
+/// Fig. 5, simulated on this repository's preset PCR chip at D = 20: the
+/// streaming pass spends 775 electrode actuations (27 mixes, 20 targets
+/// emitted), repeated MinMix 1830 (ten demand-2 passes of 183 each). The
+/// paper's module-level count on its published matrix is 386 vs 980.
+#[test]
+fn fig5_simulated_actuations() {
+    let target = pcr_d4();
+    let chip = pcr_chip();
+    let simulate = |demand: u64| {
+        let plan = StreamingEngine::new(EngineConfig::default()).plan(&target, demand).unwrap();
+        assert_eq!(plan.pass_count(), 1);
+        let program = realize_pass(&plan.passes[0], &chip).unwrap();
+        Simulator::new(&chip).run(&program).unwrap()
+    };
+    let streaming = simulate(20);
+    assert_eq!(
+        (streaming.transport_actuations, streaming.mix_splits, streaming.emitted),
+        (775, 27, 20)
+    );
+    let single = simulate(2);
+    assert_eq!(single.transport_actuations, 183);
+    assert_eq!(10 * single.transport_actuations, 1830);
 }
