@@ -167,8 +167,8 @@ pub fn check_forest(graph: &MixGraph, target: &TargetRatio, demand: u64) -> Chec
             match left.mix(&right) {
                 Some(mixed) => {
                     let stored = Vector {
-                        level: node.mixture().level(),
-                        parts: node.mixture().parts().to_vec(),
+                        level: graph.mixture(id).level(),
+                        parts: graph.mixture(id).parts().to_vec(),
                     }
                     .canonicalise();
                     if mixed != stored {

@@ -1,4 +1,5 @@
 use dmf_mixalgo::{Capabilities, MixAlgoError, MixingAlgorithm, Template};
+use dmf_mixgraph::{GraphBuilder, Operand};
 use dmf_ratio::{FluidId, TargetRatio};
 
 /// Index convention for two-fluid dilution targets `[sample, buffer]`.
@@ -58,12 +59,13 @@ impl MixingAlgorithm for BitScan {
         let (k, d) = dilution_parts(target)?;
         // v_0 = pure buffer; v_{j+1} = (v_j + pure(bit_j ? sample : buffer)) / 2.
         // After d steps the sample CF is Σ bit_j 2^j / 2^d = k / 2^d.
-        let mut chain = Template::leaf(FluidId(BUFFER), 2);
+        let mut builder = GraphBuilder::new(2);
+        let mut chain = Operand::Input(FluidId(BUFFER));
         for j in 0..d {
             let fluid = if (k >> j) & 1 == 1 { SAMPLE } else { BUFFER };
-            chain = Template::mix(chain, Template::leaf(FluidId(fluid), 2))?;
+            chain = Operand::Droplet(builder.mix(chain, Operand::Input(FluidId(fluid)))?);
         }
-        Ok(chain)
+        Template::new(builder, chain)
     }
 }
 
@@ -125,7 +127,9 @@ impl MixingAlgorithm for Dmrw {
             }));
         }
         let total = 1u64 << d;
-        build_interval(k, 0, total, d, 2)
+        let mut builder = GraphBuilder::new(2);
+        let root = build_interval(k, 0, total, d, &mut builder)?;
+        Template::new(builder, root)
     }
 }
 
@@ -141,37 +145,37 @@ fn build_interval(
     lo: u64,
     hi: u64,
     d: u32,
-    fluid_count: usize,
-) -> Result<Template, MixAlgoError> {
+    builder: &mut GraphBuilder,
+) -> Result<Operand, MixAlgoError> {
     if k == 0 {
-        return Ok(Template::leaf(FluidId(BUFFER), fluid_count));
+        return Ok(Operand::Input(FluidId(BUFFER)));
     }
     if k == 1u64 << d {
-        return Ok(Template::leaf(FluidId(SAMPLE), fluid_count));
+        return Ok(Operand::Input(FluidId(SAMPLE)));
     }
     let mid = (lo + hi) / 2;
     if k == mid {
-        let left = boundary(lo, d, fluid_count)?;
-        let right = boundary(hi, d, fluid_count)?;
-        return Template::mix(left, right);
+        let left = boundary(lo, d, builder)?;
+        let right = boundary(hi, d, builder)?;
+        return Ok(Operand::Droplet(builder.mix(left, right)?));
     }
     if k < mid {
-        build_interval(k, lo, mid, d, fluid_count)
+        build_interval(k, lo, mid, d, builder)
     } else {
-        build_interval(k, mid, hi, d, fluid_count)
+        build_interval(k, mid, hi, d, builder)
     }
 }
 
 /// A boundary droplet is either pure or the midpoint of the dyadic
 /// interval that generated it; rebuild it from the top-level search.
-fn boundary(value: u64, d: u32, fluid_count: usize) -> Result<Template, MixAlgoError> {
+fn boundary(value: u64, d: u32, builder: &mut GraphBuilder) -> Result<Operand, MixAlgoError> {
     if value == 0 {
-        return Ok(Template::leaf(FluidId(BUFFER), fluid_count));
+        return Ok(Operand::Input(FluidId(BUFFER)));
     }
     if value == 1u64 << d {
-        return Ok(Template::leaf(FluidId(SAMPLE), fluid_count));
+        return Ok(Operand::Input(FluidId(SAMPLE)));
     }
-    build_interval(value, 0, 1u64 << d, d, fluid_count)
+    build_interval(value, 0, 1u64 << d, d, builder)
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 use crate::engine::DilutionError;
-use dmf_mixalgo::{dilution_ratio, rebuild_tree, MinMix, MixingAlgorithm, WastePool};
+use dmf_mixalgo::{dilution_ratio, rebuild_tree, MinMix, MixingAlgorithm, Template, WastePool};
 use dmf_mixgraph::{GraphBuilder, MixGraph};
 use dmf_ratio::TargetRatio;
+use std::sync::Arc;
 
 /// Result of a dilution-gradient run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,7 +62,10 @@ pub fn dilution_gradient(
         targets.push(target);
         templates.push(template);
     }
-    let mut builder = GraphBuilder::new(2);
+    // One class table for every template, so reuse across the gradient's
+    // targets matches droplets by content.
+    let templates = Template::intern_together(&templates)?;
+    let mut builder = GraphBuilder::with_table(Arc::clone(templates[0].class_table()));
     let mut pool = WastePool::new();
     for template in &templates {
         let root = rebuild_tree(template, &mut builder, &mut pool, true)?;
@@ -128,7 +132,7 @@ mod tests {
         for (i, &k) in ks.iter().enumerate() {
             let root = graph.roots()[i];
             let reduced = dilution_ratio(k, 4).unwrap().reduced();
-            assert_eq!(graph.node(root).mixture().parts(), reduced.parts());
+            assert_eq!(graph.mixture(root).parts(), reduced.parts());
         }
     }
 }

@@ -51,6 +51,7 @@ pub use report::ForestReport;
 use dmf_mixalgo::{rebuild_tree, Template, WastePool};
 use dmf_mixgraph::{GraphBuilder, MixGraph};
 use dmf_ratio::TargetRatio;
+use std::sync::Arc;
 
 /// When a component tree may consume another mix-split's spare droplet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -102,7 +103,9 @@ pub fn build_forest(
     }
     let trees = demand.div_ceil(2);
     let eager = policy == ReusePolicy::Eager;
-    let mut builder = GraphBuilder::new(template.fluid_count());
+    // Over the template's own class table every mix is a pair-memo hit:
+    // the forest copies template classes and computes no mixture.
+    let mut builder = GraphBuilder::with_table(Arc::clone(template.class_table()));
     let mut pool = WastePool::new();
     for _ in 0..trees {
         let root = rebuild_tree(template, &mut builder, &mut pool, eager)?;

@@ -2,6 +2,7 @@ use crate::{ForestError, ReusePolicy};
 use dmf_mixalgo::{rebuild_tree, Template, WastePool};
 use dmf_mixgraph::{GraphBuilder, MixGraph};
 use dmf_ratio::TargetRatio;
+use std::sync::Arc;
 
 /// Builds a *multi-target* forest: one component tree (two droplets) per
 /// entry of `targets`, with waste droplets shared across all of them.
@@ -46,24 +47,26 @@ pub fn build_multi_target_forest(
     targets: &[(Template, TargetRatio)],
     policy: ReusePolicy,
 ) -> Result<MixGraph, ForestError> {
-    let Some((first, _)) = targets.first() else {
+    if targets.is_empty() {
         return Err(ForestError::ZeroDemand);
-    };
+    }
+    if targets.iter().any(|(template, _)| template.is_leaf()) {
+        return Err(ForestError::PureTarget);
+    }
+    // One class table for all templates, so reuse across targets still
+    // matches droplets by content.
+    let templates = Template::intern_together(targets.iter().map(|(template, _)| template))?;
     let eager = policy == ReusePolicy::Eager;
-    let mut builder = GraphBuilder::new(first.fluid_count());
+    let mut builder = GraphBuilder::with_table(Arc::clone(templates[0].class_table()));
     let mut pool = WastePool::new();
-    for (template, _) in targets {
-        if template.is_leaf() {
-            return Err(ForestError::PureTarget);
-        }
+    for template in &templates {
         let root = rebuild_tree(template, &mut builder, &mut pool, eager)?;
         builder.finish_tree(root);
         if !eager {
             pool.commit();
         }
     }
-    let mixtures = targets.iter().map(|(_, t)| t.to_mixture()).collect();
-    builder.finish_with_targets(mixtures).map_err(ForestError::Graph)
+    builder.finish_multi(targets.iter().map(|(_, t)| t)).map_err(ForestError::Graph)
 }
 
 #[cfg(test)]
@@ -118,7 +121,7 @@ mod tests {
         let forest = build_multi_target_forest(&pairs, ReusePolicy::Eager).unwrap();
         for (i, (_, target)) in pairs.iter().enumerate() {
             let root = forest.roots()[i];
-            assert_eq!(forest.node(root).mixture(), &target.to_mixture());
+            assert_eq!(forest.mixture(root), &target.to_mixture());
         }
     }
 }

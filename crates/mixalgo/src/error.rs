@@ -23,6 +23,9 @@ pub enum MixAlgoError {
         /// Fluid count of the right operand.
         right: usize,
     },
+    /// A template was rebuilt into a graph builder working over another
+    /// class table, whose content classes mean different mixtures.
+    ForeignClassTable,
     /// Underlying ratio arithmetic failed.
     Ratio(RatioError),
     /// Lowering the template to a graph failed structural validation
@@ -41,6 +44,9 @@ impl fmt::Display for MixAlgoError {
             }
             MixAlgoError::FluidSetMismatch { left, right } => {
                 write!(f, "sub-templates range over different fluid sets: {left} vs {right}")
+            }
+            MixAlgoError::ForeignClassTable => {
+                write!(f, "template rebuilt over a builder with another class table")
             }
             MixAlgoError::Ratio(e) => write!(f, "ratio arithmetic failed: {e}"),
             MixAlgoError::Graph(e) => write!(f, "graph construction failed: {e}"),

@@ -22,12 +22,13 @@
 //! [`MixGraph::validate`]: leaves are pure reagents, the root realises the
 //! target, droplets are conserved.
 //!
-//! The crate also exposes the two building blocks shared with the
+//! The crate also exposes the building blocks shared with the
 //! mixing-forest constructor:
 //!
-//! * [`Template`] — a plain binary mix tree with precomputed mixtures;
-//! * [`WastePool`] — a multiset of spare droplets keyed by canonical
-//!   mixture, with tree-boundary commit semantics;
+//! * [`Template`] — a binary mix tree as a post-order arena whose
+//!   contents are interned in a shared [`dmf_mixgraph::ClassTable`];
+//! * [`WastePool`] — a multiset of spare droplets indexed by content
+//!   class, with tree-boundary commit semantics;
 //! * [`materialize`] / [`rebuild_tree`] — template-to-graph lowering with
 //!   optional droplet reuse.
 //!

@@ -1,4 +1,5 @@
 use crate::{Capabilities, MixAlgoError, MixingAlgorithm, Template};
+use dmf_mixgraph::{GraphBuilder, Operand};
 use dmf_ratio::{FluidId, TargetRatio};
 
 /// The Min-Mix algorithm of Thies et al. (*Natural Computing*, 2008) — the
@@ -48,11 +49,12 @@ impl MixingAlgorithm for MinMix {
         // Bucket the leaves by depth: bit j of a_i puts a leaf of fluid i at
         // depth d - j. Leaves are inserted in ascending fluid order so the
         // construction is deterministic.
-        let mut buckets: Vec<Vec<Template>> = vec![Vec::new(); d as usize + 1];
+        let mut builder = GraphBuilder::new(fluid_count);
+        let mut buckets: Vec<Vec<Operand>> = vec![Vec::new(); d as usize + 1];
         for (i, &a) in target.parts().iter().enumerate() {
             for j in 0..=d {
                 if (a >> j) & 1 == 1 {
-                    buckets[(d - j) as usize].push(Template::leaf(FluidId(i), fluid_count));
+                    buckets[(d - j) as usize].push(Operand::Input(FluidId(i)));
                 }
             }
         }
@@ -63,12 +65,12 @@ impl MixingAlgorithm for MinMix {
             debug_assert!(items.len().is_multiple_of(2), "Kraft parity violated at depth {k}");
             let mut it = items.into_iter();
             while let (Some(a), Some(b)) = (it.next(), it.next()) {
-                buckets[k - 1].push(Template::mix(a, b)?);
+                buckets[k - 1].push(Operand::Droplet(builder.mix(a, b)?));
             }
         }
-        let mut top = std::mem::take(&mut buckets[0]);
-        debug_assert_eq!(top.len(), 1, "Kraft equality leaves exactly one root");
-        Ok(top.remove(0))
+        debug_assert_eq!(buckets[0].len(), 1, "Kraft equality leaves exactly one root");
+        let root = buckets[0].first().copied().ok_or(MixAlgoError::PureTarget)?;
+        Template::new(builder, root)
     }
 }
 

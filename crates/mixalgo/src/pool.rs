@@ -1,29 +1,28 @@
-use dmf_mixgraph::NodeId;
-use dmf_ratio::Mixture;
-use std::collections::{HashMap, VecDeque};
+use dmf_mixgraph::{ClassId, NodeId};
+use std::collections::VecDeque;
 
-/// A multiset of spare (would-be-waste) droplets keyed by canonical droplet
-/// content.
+/// A multiset of spare (would-be-waste) droplets indexed by content class.
 ///
 /// This is the bookkeeping behind both common-subtree sharing
 /// ([`crate::Mtcs`]/[`crate::Rsm`]) and the mixing forest of the streaming
 /// engine: whenever a mix-split executes, its second output droplet is
 /// offered to the pool; whenever a rebuild needs a droplet whose content is
 /// already pooled, it consumes the pooled droplet instead of re-mixing.
+/// Contents are [`ClassId`]s of the class table the droplets' graph is
+/// built over, so one pool serves one table.
 ///
 /// The pool has *commit* semantics for the paper-faithful forest
 /// construction: droplets offered during the current component tree are held
 /// back in a staging area and only become takeable after [`WastePool::commit`]
 /// (called at tree boundaries). Pass `eager = true` to
-/// [`WastePool::offer`]-style users that want immediate availability
-/// (within-tree sharing).
+/// [`WastePool::offer`] for immediate availability (within-tree sharing).
 ///
 /// Droplets of equal content are consumed in FIFO order, which keeps the
 /// construction deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct WastePool {
-    available: HashMap<Mixture, VecDeque<NodeId>>,
-    staged: Vec<(Mixture, NodeId)>,
+    available: Vec<VecDeque<NodeId>>,
+    staged: Vec<(ClassId, NodeId)>,
     len: usize,
 }
 
@@ -48,32 +47,22 @@ impl WastePool {
         self.staged.len()
     }
 
-    /// Offers a spare droplet produced by `node`.
+    /// Offers a spare droplet of content `class` produced by `node`.
     ///
     /// With `eager = true` the droplet is takeable immediately; otherwise it
-    /// is staged until the next [`WastePool::commit`]. The content is only
-    /// cloned when the pool does not already own an equal key (hot reuse
-    /// paths repeatedly offer the same few mixtures).
-    pub fn offer(&mut self, mixture: &Mixture, node: NodeId, eager: bool) {
+    /// is staged until the next [`WastePool::commit`].
+    pub fn offer(&mut self, class: ClassId, node: NodeId, eager: bool) {
         if eager {
-            if let Some(queue) = self.available.get_mut(mixture) {
-                queue.push_back(node);
-            } else {
-                self.available.insert(mixture.clone(), VecDeque::from([node]));
-            }
+            push(&mut self.available, class, node);
             self.len += 1;
         } else {
-            self.staged.push((mixture.clone(), node));
+            self.staged.push((class, node));
         }
     }
 
-    /// Takes the oldest takeable droplet with the given content, if any.
-    pub fn take(&mut self, mixture: &Mixture) -> Option<NodeId> {
-        let queue = self.available.get_mut(mixture)?;
-        let id = queue.pop_front()?;
-        if queue.is_empty() {
-            self.available.remove(mixture);
-        }
+    /// Takes the oldest takeable droplet of content `class`, if any.
+    pub fn take(&mut self, class: ClassId) -> Option<NodeId> {
+        let id = self.available.get_mut(class.index())?.pop_front()?;
         self.len -= 1;
         Some(id)
     }
@@ -81,82 +70,88 @@ impl WastePool {
     /// Makes all staged droplets takeable (call at component-tree
     /// boundaries).
     pub fn commit(&mut self) {
-        for (mixture, node) in self.staged.drain(..) {
-            self.available.entry(mixture).or_default().push_back(node);
-            self.len += 1;
+        self.len += self.staged.len();
+        for (class, node) in self.staged.drain(..) {
+            push(&mut self.available, class, node);
         }
     }
 
     /// Drops every droplet, takeable and staged alike.
     pub fn clear(&mut self) {
-        self.available.clear();
+        self.available.iter_mut().for_each(VecDeque::clear);
         self.staged.clear();
         self.len = 0;
     }
+}
 
-    /// Iterates over the takeable droplets as `(content, producer)` pairs,
-    /// in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Mixture, NodeId)> {
-        self.available.iter().flat_map(|(m, q)| q.iter().map(move |&id| (m, id)))
+/// Appends `node` to the FIFO of `class`, growing the index as needed.
+fn push(available: &mut Vec<VecDeque<NodeId>>, class: ClassId, node: NodeId) {
+    if class.index() >= available.len() {
+        available.resize_with(class.index() + 1, VecDeque::new);
     }
+    available[class.index()].push_back(node);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmf_mixgraph::{GraphBuilder, Operand};
+    use dmf_ratio::FluidId;
 
-    fn mixture(parts: Vec<u64>, level: u32) -> Mixture {
-        Mixture::new(level, parts).unwrap()
+    /// Two distinct mix classes of one table: `<1:1>` and `<3:1>`.
+    fn classes() -> (ClassId, ClassId) {
+        let mut b = GraphBuilder::new(2);
+        let half = b.mix(Operand::Input(FluidId(0)), Operand::Input(FluidId(1))).unwrap();
+        let three = b.mix(Operand::Input(FluidId(0)), Operand::Droplet(half)).unwrap();
+        let (_, nodes) = b.into_parts();
+        (nodes[half.index()].class(), nodes[three.index()].class())
     }
 
     #[test]
     fn eager_offers_are_takeable_immediately() {
+        let (m, _) = classes();
         let mut pool = WastePool::new();
-        let m = mixture(vec![1, 1], 1);
-        pool.offer(&m, NodeId::new(0), true);
+        pool.offer(m, NodeId::new(0), true);
         assert_eq!(pool.len(), 1);
-        assert_eq!(pool.take(&m), Some(NodeId::new(0)));
+        assert_eq!(pool.take(m), Some(NodeId::new(0)));
         assert!(pool.is_empty());
-        assert_eq!(pool.take(&m), None);
+        assert_eq!(pool.take(m), None);
     }
 
     #[test]
     fn staged_offers_need_commit() {
+        let (m, _) = classes();
         let mut pool = WastePool::new();
-        let m = mixture(vec![1, 1], 1);
-        pool.offer(&m, NodeId::new(3), false);
-        assert_eq!(pool.take(&m), None);
+        pool.offer(m, NodeId::new(3), false);
+        assert_eq!(pool.take(m), None);
         assert_eq!(pool.staged_len(), 1);
         pool.commit();
-        assert_eq!(pool.take(&m), Some(NodeId::new(3)));
+        assert_eq!(pool.staged_len(), 0);
+        assert_eq!(pool.take(m), Some(NodeId::new(3)));
     }
 
     #[test]
     fn equal_content_is_fifo() {
+        let (half, three) = classes();
         let mut pool = WastePool::new();
-        let m = mixture(vec![3, 1], 2);
-        pool.offer(&m, NodeId::new(1), true);
-        pool.offer(&m, NodeId::new(2), true);
-        assert_eq!(pool.take(&m), Some(NodeId::new(1)));
-        assert_eq!(pool.take(&m), Some(NodeId::new(2)));
-    }
-
-    #[test]
-    fn canonical_keys_unify_levels() {
-        // <2:2>/4 canonicalises to <1:1>/2, so both lookups hit.
-        let mut pool = WastePool::new();
-        pool.offer(&mixture(vec![2, 2], 2), NodeId::new(5), true);
-        assert_eq!(pool.take(&mixture(vec![1, 1], 1)), Some(NodeId::new(5)));
+        pool.offer(three, NodeId::new(1), true);
+        pool.offer(half, NodeId::new(7), true);
+        pool.offer(three, NodeId::new(2), true);
+        assert_eq!(pool.take(three), Some(NodeId::new(1)));
+        assert_eq!(pool.take(three), Some(NodeId::new(2)));
+        assert_eq!(pool.take(three), None);
+        assert_eq!(pool.take(half), Some(NodeId::new(7)));
     }
 
     #[test]
     fn clear_empties_everything() {
+        let (m, _) = classes();
         let mut pool = WastePool::new();
-        let m = mixture(vec![1, 1], 1);
-        pool.offer(&m, NodeId::new(0), true);
-        pool.offer(&m, NodeId::new(1), false);
+        pool.offer(m, NodeId::new(0), true);
+        pool.offer(m, NodeId::new(1), false);
         pool.clear();
         assert!(pool.is_empty());
         assert_eq!(pool.staged_len(), 0);
+        assert_eq!(pool.take(m), None);
     }
 }

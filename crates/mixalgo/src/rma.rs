@@ -1,4 +1,5 @@
 use crate::{Capabilities, MixAlgoError, MixingAlgorithm, Template};
+use dmf_mixgraph::{GraphBuilder, Operand};
 use dmf_ratio::{FluidId, TargetRatio};
 
 /// The ratio-halving mixing algorithm of Roy et al. (VLSID 2011) — the
@@ -48,15 +49,17 @@ impl MixingAlgorithm for Rma {
         if target.active_fluid_count() <= 1 {
             return Err(MixAlgoError::PureTarget);
         }
-        build(target.parts().to_vec(), target.accuracy(), target.fluid_count())
+        let mut builder = GraphBuilder::new(target.fluid_count());
+        let root = build(target.parts().to_vec(), target.accuracy(), &mut builder)?;
+        Template::new(builder, root)
     }
 }
 
 fn build(
     mut vector: Vec<u64>,
     mut level: u32,
-    fluid_count: usize,
-) -> Result<Template, MixAlgoError> {
+    builder: &mut GraphBuilder,
+) -> Result<Operand, MixAlgoError> {
     let sole_active = {
         let mut active = vector.iter().enumerate().filter(|&(_, &v)| v > 0);
         match (active.next(), active.next()) {
@@ -65,7 +68,7 @@ fn build(
         }
     };
     if let Some(fluid) = sole_active {
-        return Ok(Template::leaf(FluidId(fluid), fluid_count));
+        return Ok(Operand::Input(FluidId(fluid)));
     }
     // Reduce: an all-even vector denotes the same content one level down,
     // so recurse there instead of splitting into two identical halves
@@ -78,9 +81,9 @@ fn build(
     }
     debug_assert!(level > 0, "multi-fluid vector implies level > 0");
     let (left, right) = halve(&vector);
-    let lt = build(left, level - 1, fluid_count)?;
-    let rt = build(right, level - 1, fluid_count)?;
-    Template::mix(lt, rt)
+    let lt = build(left, level - 1, builder)?;
+    let rt = build(right, level - 1, builder)?;
+    Ok(Operand::Droplet(builder.mix(lt, rt)?))
 }
 
 /// Splits `vector` into two vectors of equal sum. Components are assigned

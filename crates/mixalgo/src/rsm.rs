@@ -1,4 +1,5 @@
 use crate::{Capabilities, MixAlgoError, MixingAlgorithm, Template};
+use dmf_mixgraph::{GraphBuilder, Operand};
 use dmf_ratio::{FluidId, TargetRatio};
 
 /// Reagent-saving mixing in the spirit of Hsieh et al. (IEEE TCAD 2012) —
@@ -41,7 +42,9 @@ impl MixingAlgorithm for Rsm {
         if target.active_fluid_count() <= 1 {
             return Err(MixAlgoError::PureTarget);
         }
-        build(target.parts().to_vec(), target.accuracy(), target.fluid_count())
+        let mut builder = GraphBuilder::new(target.fluid_count());
+        let root = build(target.parts().to_vec(), target.accuracy(), &mut builder)?;
+        Template::new(builder, root)
     }
 
     fn shares_subgraphs(&self) -> bool {
@@ -52,8 +55,8 @@ impl MixingAlgorithm for Rsm {
 fn build(
     mut vector: Vec<u64>,
     mut level: u32,
-    fluid_count: usize,
-) -> Result<Template, MixAlgoError> {
+    builder: &mut GraphBuilder,
+) -> Result<Operand, MixAlgoError> {
     let sole_active = {
         let mut active = vector.iter().enumerate().filter(|&(_, &v)| v > 0);
         match (active.next(), active.next()) {
@@ -62,7 +65,7 @@ fn build(
         }
     };
     if let Some(fluid) = sole_active {
-        return Ok(Template::leaf(FluidId(fluid), fluid_count));
+        return Ok(Operand::Input(FluidId(fluid)));
     }
     while level > 0 && vector.iter().all(|v| v % 2 == 0) {
         for v in &mut vector {
@@ -72,9 +75,9 @@ fn build(
     }
     debug_assert!(level > 0, "multi-fluid vector implies level > 0");
     let (left, right) = balanced_halve(&vector);
-    let lt = build(left, level - 1, fluid_count)?;
-    let rt = build(right, level - 1, fluid_count)?;
-    Template::mix(lt, rt)
+    let lt = build(left, level - 1, builder)?;
+    let rt = build(right, level - 1, builder)?;
+    Ok(Operand::Droplet(builder.mix(lt, rt)?))
 }
 
 /// Halves every component, granting odd leftovers alternately to the left

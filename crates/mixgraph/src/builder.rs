@@ -1,6 +1,6 @@
-use crate::{GraphError, MixGraph, MixNode, NodeId, Operand};
+use crate::{ClassId, ClassTable, GraphError, MixGraph, MixNode, NodeId, Operand};
 use dmf_ratio::{Mixture, TargetRatio};
-use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Incremental constructor for [`MixGraph`].
 ///
@@ -28,7 +28,7 @@ use std::borrow::Cow;
 /// ```
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
-    fluid_count: usize,
+    table: Arc<ClassTable>,
     nodes: Vec<MixNode>,
     consumed: Vec<u8>,
     roots: Vec<NodeId>,
@@ -36,15 +36,29 @@ pub struct GraphBuilder {
 }
 
 impl GraphBuilder {
-    /// Starts a builder over a fluid set of `fluid_count` reagents.
+    /// Starts a builder over a fluid set of `fluid_count` reagents, with a
+    /// fresh class table.
     pub fn new(fluid_count: usize) -> Self {
+        GraphBuilder::with_table(Arc::new(ClassTable::new(fluid_count)))
+    }
+
+    /// Starts a builder over an existing class table — typically a
+    /// template's, so that every mix of a rebuild of that template is
+    /// already in the table's pair memo. The table is copied only if this
+    /// builder mixes a pair the table has not seen.
+    pub fn with_table(table: Arc<ClassTable>) -> Self {
         GraphBuilder {
-            fluid_count,
+            table,
             nodes: Vec::new(),
             consumed: Vec::new(),
             roots: Vec::new(),
             current_tree: 0,
         }
+    }
+
+    /// The class table this builder resolves contents in.
+    pub fn class_table(&self) -> &Arc<ClassTable> {
+        &self.table
     }
 
     /// Number of vertices added so far.
@@ -67,14 +81,16 @@ impl GraphBuilder {
     ///
     /// Panics if `id` was not produced by this builder.
     pub fn mixture(&self, id: NodeId) -> &Mixture {
-        &self.nodes[id.index()].mixture
+        &self.table[self.nodes[id.index()].class]
     }
 
     /// Adds a (1:1) mix-split vertex over two operands and returns its id.
     ///
     /// The new vertex belongs to the component tree currently under
     /// construction. Consuming a droplet operand uses up one of the
-    /// producer's two output droplets.
+    /// producer's two output droplets. The vertex's content class comes
+    /// from the class table's pair memo; [`Mixture::mix`] runs only for an
+    /// operand-class pair the table has not seen.
     ///
     /// # Errors
     ///
@@ -83,8 +99,8 @@ impl GraphBuilder {
     /// producer's two droplets are already spoken for, and
     /// [`GraphError::Ratio`] for fluid-set mismatches.
     pub fn mix(&mut self, left: Operand, right: Operand) -> Result<NodeId, GraphError> {
-        let (left_mix, left_level) = self.operand_info(left)?;
-        let (right_mix, right_level) = self.operand_info(right)?;
+        let (left_class, left_level) = self.operand_info(left)?;
+        let (right_class, right_level) = self.operand_info(right)?;
         // Check capacity before consuming anything so errors are atomic.
         for op in [left, right] {
             if let Operand::Droplet(id) = op {
@@ -94,7 +110,12 @@ impl GraphBuilder {
                 }
             }
         }
-        let mixture = left_mix.mix(right_mix.as_ref()).map_err(GraphError::Ratio)?;
+        let class = match self.table.mixed(left_class, right_class) {
+            Some(class) => class,
+            None => Arc::make_mut(&mut self.table)
+                .mix(left_class, right_class)
+                .map_err(GraphError::Ratio)?,
+        };
         for op in [left, right] {
             if let Operand::Droplet(id) = op {
                 self.consumed[id.index()] += 1;
@@ -104,7 +125,7 @@ impl GraphBuilder {
         self.nodes.push(MixNode {
             left,
             right,
-            mixture,
+            class,
             level: left_level.max(right_level) + 1,
             tree: self.current_tree,
         });
@@ -124,7 +145,14 @@ impl GraphBuilder {
         self.current_tree += 1;
     }
 
-    /// Finalises the graph, validating droplet conservation and that every
+    /// Hands over the class table and the vertices added so far, without
+    /// declaring trees or validating anything — how a mixing-tree
+    /// template captures the tree an algorithm built.
+    pub fn into_parts(self) -> (Arc<ClassTable>, Vec<MixNode>) {
+        (self.table, self.nodes)
+    }
+
+    /// Finalises the graph, checking droplet conservation and that every
     /// root realises `target`.
     ///
     /// # Errors
@@ -133,8 +161,9 @@ impl GraphBuilder {
     /// [`GraphError::RootConsumed`] / [`GraphError::DanglingNode`] /
     /// [`GraphError::WrongTarget`] for conservation violations.
     pub fn finish(self, target: &TargetRatio) -> Result<MixGraph, GraphError> {
-        let targets = vec![target.to_mixture(); self.roots.len().max(1)];
-        self.finish_with_targets(targets)
+        let class = self.table.find(&target.to_mixture());
+        let targets = vec![class; self.roots.len()];
+        self.finish_with_classes(targets)
     }
 
     /// Finalises a *multi-target* graph: component tree `i` must realise
@@ -146,56 +175,43 @@ impl GraphBuilder {
     ///
     /// As [`GraphBuilder::finish`]; additionally [`GraphError::NoTrees`]
     /// when `targets.len()` differs from the number of finished trees.
-    pub fn finish_multi(self, targets: &[TargetRatio]) -> Result<MixGraph, GraphError> {
-        self.finish_with_targets(targets.iter().map(TargetRatio::to_mixture).collect())
+    pub fn finish_multi<'t>(
+        self,
+        targets: impl IntoIterator<Item = &'t TargetRatio>,
+    ) -> Result<MixGraph, GraphError> {
+        let classes = targets.into_iter().map(|t| self.table.find(&t.to_mixture())).collect();
+        self.finish_with_classes(classes)
     }
 
-    /// Finalises against already-canonicalised target mixtures, one per
-    /// finished tree — the allocation-free core of [`GraphBuilder::finish`]
-    /// / [`GraphBuilder::finish_multi`] for callers that hold [`Mixture`]s
-    /// rather than [`TargetRatio`]s.
+    /// Finalises against one target class per finished tree (`None` for a
+    /// target content the table does not hold, which no root can realise).
     ///
-    /// # Errors
-    ///
-    /// As [`GraphBuilder::finish_multi`].
-    pub fn finish_with_targets(self, targets: Vec<Mixture>) -> Result<MixGraph, GraphError> {
+    /// Every content came from the class table's arithmetic, so only the
+    /// O(n) conservation checks run here: consumption ≤ 2, no dangling
+    /// vertex, roots unconsumed and each root's class equal to its tree's
+    /// target class. [`MixGraph::validate`] re-derives the arithmetic too.
+    fn finish_with_classes(self, targets: Vec<Option<ClassId>>) -> Result<MixGraph, GraphError> {
         if self.roots.is_empty() || targets.len() != self.roots.len() {
             return Err(GraphError::NoTrees);
         }
-        let mut consumers: Vec<Vec<NodeId>> = vec![Vec::new(); self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            for op in node.operands() {
-                if let Operand::Droplet(src) = op {
-                    consumers[src.index()].push(NodeId(i as u32));
-                }
-            }
+        // A target outside the table gets a class no vertex has, so the
+        // root check below reports it as a wrong target, in arena order.
+        let targets = targets.into_iter().map(|c| c.unwrap_or(ClassId(u32::MAX))).collect();
+        let graph = MixGraph::assemble(self.table, self.nodes, self.roots, targets);
+        for (id, node) in graph.iter() {
+            graph.check_conservation(id, node)?;
         }
-        let graph = MixGraph {
-            fluid_count: self.fluid_count,
-            nodes: self.nodes,
-            roots: self.roots,
-            consumers,
-            targets,
-        };
-        graph.validate()?;
         Ok(graph)
     }
 
-    /// Mixture and level of an operand: borrowed from the arena for
-    /// droplet operands, constructed only for reservoir inputs.
-    fn operand_info(&self, op: Operand) -> Result<(Cow<'_, Mixture>, u32), GraphError> {
+    /// Content class and level of an operand.
+    fn operand_info(&self, op: Operand) -> Result<(ClassId, u32), GraphError> {
         match op {
-            Operand::Input(f) => {
-                let m = Mixture::try_pure(f.0, self.fluid_count).map_err(GraphError::Ratio)?;
-                Ok((Cow::Owned(m), 0))
-            }
-            Operand::Droplet(id) => {
-                if id.index() >= self.nodes.len() {
-                    return Err(GraphError::UnknownNode { node: id });
-                }
-                let node = &self.nodes[id.index()];
-                Ok((Cow::Borrowed(&node.mixture), node.level))
-            }
+            Operand::Input(f) => Ok((self.table.pure(f).map_err(GraphError::Ratio)?, 0)),
+            Operand::Droplet(id) => match self.nodes.get(id.index()) {
+                Some(node) => Ok((node.class, node.level)),
+                None => Err(GraphError::UnknownNode { node: id }),
+            },
         }
     }
 }

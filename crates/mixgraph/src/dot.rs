@@ -2,7 +2,7 @@
 //! figures: grey input droplets, green used intermediates, brown reuse
 //! edges, double circles for targets.
 
-use crate::{MixGraph, Operand};
+use crate::{MixGraph, MixNode, Operand};
 use std::fmt::Write as _;
 
 impl MixGraph {
@@ -36,14 +36,13 @@ impl MixGraph {
             let _ = writeln!(out, "  subgraph cluster_t{} {{", tree + 1);
             let _ = writeln!(out, "    label=\"T{}\";", tree + 1);
             for id in self.tree_nodes(tree) {
-                let node = self.node(id);
                 let shape = if self.is_root(id) { "doublecircle" } else { "circle" };
                 let _ = writeln!(
                     out,
                     "    {} [label=\"{}\\n{}\" shape={}];",
                     id,
                     labels[id.index()],
-                    node.mixture(),
+                    self.mixture(id),
                     shape
                 );
             }
@@ -63,7 +62,10 @@ impl MixGraph {
                         let _ = writeln!(out, "  {leaf} -> {id};");
                     }
                     Operand::Droplet(src) => {
-                        let reuse = self.node(src).tree() != node.tree();
+                        // An operand naming no vertex (an unvalidated
+                        // graph) is drawn as a reuse edge.
+                        let reuse =
+                            self.nodes.get(src.index()).map(MixNode::tree) != Some(node.tree());
                         if reuse {
                             let _ = writeln!(
                                 out,

@@ -95,8 +95,7 @@ impl MixGraph {
         let bounds = self.cf_error_bounds(epsilon);
         let mut worst = 0.0f64;
         for &root in self.roots() {
-            let node = self.node(root);
-            let nominal = node.mixture();
+            let nominal = self.mixture(root);
             let denom = (1u64 << nominal.level()) as f64;
             let interval = &bounds[root.index()];
             for (i, &p) in nominal.parts().iter().enumerate() {
@@ -118,8 +117,7 @@ impl MixGraph {
     pub fn split_error_margin(&self, tolerance: f64) -> f64 {
         assert!(tolerance > 0.0, "tolerance must be positive");
         let band = 1.0
-            / (1u64
-                << self.roots().iter().map(|&r| self.node(r).mixture().level()).max().unwrap_or(0))
+            / (1u64 << self.roots().iter().map(|&r| self.mixture(r).level()).max().unwrap_or(0))
                 as f64;
         let (mut lo, mut hi) = (0.0f64, 0.999f64);
         while hi - lo > tolerance {
@@ -181,8 +179,8 @@ mod tests {
         b.finish_tree(root);
         let g = b.finish(&TargetRatio::new(vec![1, 1, 1, 1, 0, 0, 0]).unwrap()).unwrap();
         let bounds = g.cf_error_bounds(0.07);
-        for (id, node) in g.iter() {
-            let nominal = node.mixture();
+        for (id, _) in g.iter() {
+            let nominal = g.mixture(id);
             let denom = (1u64 << nominal.level()) as f64;
             let interval = &bounds[id.index()];
             for (i, &p) in nominal.parts().iter().enumerate() {

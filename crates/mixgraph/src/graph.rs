@@ -1,7 +1,7 @@
-use crate::{GraphError, GraphStats};
+use crate::{ClassId, ClassTable, GraphError, GraphStats};
 use dmf_ratio::{FluidId, Mixture};
-use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a mix-split vertex inside a [`MixGraph`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -39,17 +39,20 @@ pub enum Operand {
     Droplet(NodeId),
 }
 
-/// One (1:1) mix-split operation.
+/// One (1:1) mix-split operation: plain `Copy` data.
 ///
 /// Executing the node merges its two operand droplets and splits the result
 /// into **two** identical unit droplets. In a non-root node one or both of
 /// those droplets feed consumer nodes and the remainder is waste; in a root
 /// node both droplets are emitted target droplets.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The node names its content by a [`ClassId`] into its graph's
+/// [`ClassTable`]; read the content itself with [`MixGraph::mixture`].
+#[derive(Debug, Clone, Copy)]
 pub struct MixNode {
     pub(crate) left: Operand,
     pub(crate) right: Operand,
-    pub(crate) mixture: Mixture,
+    pub(crate) class: ClassId,
     pub(crate) level: u32,
     pub(crate) tree: u32,
 }
@@ -60,9 +63,10 @@ impl MixNode {
     /// Together with [`MixGraph::from_raw_parts`] this allows external
     /// deserialisers — and deliberately corrupting test harnesses such as
     /// the `dmf-check` mutation suite — to assemble graphs that bypass
-    /// [`crate::GraphBuilder`]'s validation.
-    pub fn new(left: Operand, right: Operand, mixture: Mixture, level: u32, tree: u32) -> Self {
-        MixNode { left, right, mixture, level, tree }
+    /// [`crate::GraphBuilder`]'s validation. The node's content class is
+    /// assigned when `from_raw_parts` interns the mixture paired with it.
+    pub fn new(left: Operand, right: Operand, level: u32, tree: u32) -> Self {
+        MixNode { left, right, class: ClassId(0), level, tree }
     }
 
     /// Left operand.
@@ -80,9 +84,10 @@ impl MixNode {
         [self.left, self.right]
     }
 
-    /// Content of each droplet the node produces (canonicalised).
-    pub fn mixture(&self) -> &Mixture {
-        &self.mixture
+    /// Content class of each droplet the node produces, in its graph's
+    /// (or builder's) [`ClassTable`].
+    pub fn class(&self) -> ClassId {
+        self.class
     }
 
     /// Structural level of the node: `max(level(operands)) + 1`, where
@@ -105,20 +110,28 @@ impl MixNode {
 /// acyclic and droplet-conserving: every vertex produces exactly two unit
 /// droplets, each consumed by at most two other vertices; root vertices are
 /// never consumed (their droplets are the emitted targets).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Vertex contents live in a [`ClassTable`] shared through an `Arc`, so
+/// cloning a graph copies its flat vertex, consumer and root arrays only.
+/// Equality compares contents, not class numbering.
+#[derive(Debug, Clone)]
 pub struct MixGraph {
-    pub(crate) fluid_count: usize,
+    pub(crate) table: Arc<ClassTable>,
     pub(crate) nodes: Vec<MixNode>,
     pub(crate) roots: Vec<NodeId>,
-    /// Consumers of each node's two output droplets (up to two).
-    pub(crate) consumers: Vec<Vec<NodeId>>,
-    /// One target mixture per component tree (all equal for MDST graphs).
-    pub(crate) targets: Vec<Mixture>,
+    /// Consumers of node `i` (in consumer order) are
+    /// `consumer_ids[consumer_start[i]..consumer_start[i + 1]]`.
+    pub(crate) consumer_start: Vec<u32>,
+    pub(crate) consumer_ids: Vec<NodeId>,
+    /// Target class of each component tree (all equal for MDST graphs).
+    pub(crate) targets: Vec<ClassId>,
 }
 
 impl MixGraph {
-    /// Assembles a graph from raw parts **without validation**, deriving
-    /// the consumer lists from the node operands.
+    /// Assembles a graph from raw parts **without validation**: each node
+    /// comes with the mixture it claims to produce, and the mixtures and
+    /// targets are interned into a fresh class table. The consumer lists
+    /// are derived from the node operands.
     ///
     /// [`crate::GraphBuilder`] remains the safe construction path; this
     /// constructor exists for deserialisation layers and for tests that
@@ -127,38 +140,87 @@ impl MixGraph {
     /// graph assembled this way.
     pub fn from_raw_parts(
         fluid_count: usize,
-        nodes: Vec<MixNode>,
+        nodes: Vec<(MixNode, Mixture)>,
         roots: Vec<NodeId>,
         targets: Vec<Mixture>,
     ) -> Self {
-        let mut consumers: Vec<Vec<NodeId>> = vec![Vec::new(); nodes.len()];
-        for (i, node) in nodes.iter().enumerate() {
-            for op in node.operands() {
-                if let Operand::Droplet(src) = op {
-                    if src.index() < consumers.len() {
-                        consumers[src.index()].push(NodeId(i as u32));
-                    }
-                }
+        let mut table = ClassTable::new(fluid_count);
+        let nodes: Vec<MixNode> = nodes
+            .into_iter()
+            .map(|(node, mixture)| MixNode { class: table.intern(mixture), ..node })
+            .collect();
+        let targets = targets.into_iter().map(|m| table.intern(m)).collect();
+        MixGraph::assemble(Arc::new(table), nodes, roots, targets)
+    }
+
+    /// A graph over `table` with its consumer lists derived from the node
+    /// operands (operands naming no node are left out).
+    pub(crate) fn assemble(
+        table: Arc<ClassTable>,
+        nodes: Vec<MixNode>,
+        roots: Vec<NodeId>,
+        targets: Vec<ClassId>,
+    ) -> Self {
+        let n = nodes.len();
+        // Count each producer's consumers, make the counts inclusive
+        // prefix sums (segment ends), then fill backwards so every segment
+        // lists its consumers in arena order, left operand first.
+        let producer = |op: Operand| match op {
+            Operand::Droplet(src) if src.index() < n => Some(src.index()),
+            _ => None,
+        };
+        let mut consumer_start = vec![0u32; n + 1];
+        for node in &nodes {
+            for src in node.operands().into_iter().filter_map(producer) {
+                consumer_start[src] += 1;
             }
         }
-        MixGraph { fluid_count, nodes, roots, consumers, targets }
+        for i in 1..=n {
+            consumer_start[i] += consumer_start[i - 1];
+        }
+        let mut consumer_ids = vec![NodeId(0); consumer_start[n] as usize];
+        for (i, node) in nodes.iter().enumerate().rev() {
+            for src in [node.right, node.left].into_iter().filter_map(producer) {
+                consumer_start[src] -= 1;
+                consumer_ids[consumer_start[src] as usize] = NodeId(i as u32);
+            }
+        }
+        MixGraph { table, nodes, roots, consumer_start, consumer_ids, targets }
     }
 
     /// Number of fluids in the underlying fluid set.
     pub fn fluid_count(&self) -> usize {
-        self.fluid_count
+        self.table.fluid_count()
+    }
+
+    /// The class table the graph's contents live in.
+    pub fn class_table(&self) -> &Arc<ClassTable> {
+        &self.table
+    }
+
+    /// The content each droplet of vertex `id` carries (canonicalised).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this graph.
+    pub fn mixture(&self, id: NodeId) -> &Mixture {
+        &self.table[self.nodes[id.index()].class]
     }
 
     /// The target mixture of the first component tree (canonical form).
     /// For MDST graphs every tree shares this target; multi-target (SDMT)
     /// graphs expose the full list via [`MixGraph::targets`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has no target.
     pub fn target(&self) -> &Mixture {
-        &self.targets[0]
+        &self.table[self.targets[0]]
     }
 
     /// Target mixtures, one per component tree.
-    pub fn targets(&self) -> &[Mixture] {
-        &self.targets
+    pub fn targets(&self) -> impl ExactSizeIterator<Item = &Mixture> + '_ {
+        self.targets.iter().map(|&class| &self.table[class])
     }
 
     /// Number of mix-split vertices (`Tms` when applied to a full forest).
@@ -196,18 +258,21 @@ impl MixGraph {
         self.roots.get(tree as usize).copied() == Some(id)
     }
 
-    /// Vertices that consume droplets produced by `id` (0–2 entries).
+    /// Vertices that consume droplets produced by `id` (0–2 entries in a
+    /// validated graph), in arena order.
     pub fn consumers(&self, id: NodeId) -> &[NodeId] {
-        &self.consumers[id.index()]
+        let i = id.index();
+        &self.consumer_ids[self.consumer_start[i] as usize..self.consumer_start[i + 1] as usize]
     }
 
     /// Number of waste droplets contributed by vertex `id`
-    /// (`2 - consumers`, or 0 for a root whose droplets are targets).
+    /// (`2 - consumers`, or 0 for a root whose droplets are targets). An
+    /// over-consumed vertex of an unvalidated graph contributes 0.
     pub fn waste_of(&self, id: NodeId) -> usize {
         if self.is_root(id) {
             0
         } else {
-            2 - self.consumers(id).len()
+            2usize.saturating_sub(self.consumers(id).len())
         }
     }
 
@@ -227,10 +292,15 @@ impl MixGraph {
     /// (1-based, root is `m_{i,1}`).
     ///
     /// Cross-tree (reuse) operands are not traversed — they are leaves of the
-    /// component tree, exactly as the brown nodes in Figs. 1–3.
+    /// component tree, exactly as the brown nodes in Figs. 1–3. So are
+    /// operands an unvalidated graph gets wrong: a vertex that does not
+    /// exist or does not precede its consumer.
     pub fn labels(&self) -> Vec<String> {
         let mut labels = vec![String::new(); self.nodes.len()];
         for (tree, &root) in self.roots.iter().enumerate() {
+            if root.index() >= self.nodes.len() {
+                continue;
+            }
             let mut queue = std::collections::VecDeque::from([root]);
             let mut j = 1usize;
             while let Some(id) = queue.pop_front() {
@@ -238,7 +308,8 @@ impl MixGraph {
                 j += 1;
                 for op in self.nodes[id.index()].operands() {
                     if let Operand::Droplet(child) = op {
-                        if self.nodes[child.index()].tree == tree as u32 {
+                        let in_tree = child < id && self.nodes[child.index()].tree == tree as u32;
+                        if in_tree {
                             queue.push_back(child);
                         }
                     }
@@ -249,8 +320,9 @@ impl MixGraph {
     }
 
     /// Full structural re-validation: droplet conservation, consumer limits,
-    /// mixture arithmetic and root/target agreement. `GraphBuilder::finish`
-    /// already guarantees these; this is exposed for tests and for graphs
+    /// mixture arithmetic (every vertex's content re-derived from its
+    /// operands) and root/target agreement. `GraphBuilder::finish` already
+    /// guarantees these; this is exposed for tests and for graphs
     /// deserialised from external sources.
     ///
     /// # Errors
@@ -260,25 +332,33 @@ impl MixGraph {
         for (id, node) in self.iter() {
             let left = self.operand_mixture(node.left)?;
             let right = self.operand_mixture(node.right)?;
-            let mixed = left.mix(right.as_ref()).map_err(GraphError::Ratio)?;
-            if mixed != node.mixture {
+            let mixed = left.mix(right).map_err(GraphError::Ratio)?;
+            if mixed != self.table[node.class] {
                 return Err(GraphError::MixtureMismatch { node: id });
             }
-            let consumers = self.consumers(id).len();
-            if self.is_root(id) {
-                if consumers != 0 {
-                    return Err(GraphError::RootConsumed { node: id });
-                }
-                if node.mixture != self.targets[node.tree as usize] {
-                    return Err(GraphError::WrongTarget { node: id });
-                }
-            } else {
-                if consumers == 0 {
-                    return Err(GraphError::DanglingNode { node: id });
-                }
-                if consumers > 2 {
-                    return Err(GraphError::OverconsumedDroplet { node: id });
-                }
+            self.check_conservation(id, node)?;
+        }
+        Ok(())
+    }
+
+    /// The O(1) conservation checks of one vertex: a root is unconsumed
+    /// and realises its tree's target; any other vertex feeds one or two
+    /// consumers.
+    pub(crate) fn check_conservation(&self, id: NodeId, node: &MixNode) -> Result<(), GraphError> {
+        let consumers = self.consumers(id).len();
+        if self.is_root(id) {
+            if consumers != 0 {
+                return Err(GraphError::RootConsumed { node: id });
+            }
+            if self.targets.get(node.tree as usize) != Some(&node.class) {
+                return Err(GraphError::WrongTarget { node: id });
+            }
+        } else {
+            if consumers == 0 {
+                return Err(GraphError::DanglingNode { node: id });
+            }
+            if consumers > 2 {
+                return Err(GraphError::OverconsumedDroplet { node: id });
             }
         }
         Ok(())
@@ -289,23 +369,44 @@ impl MixGraph {
         GraphStats::collect(self)
     }
 
-    /// The content an operand contributes: borrowed straight from the
-    /// arena for droplet operands (the hot case — no CF-vector copy),
-    /// freshly constructed only for reservoir inputs.
-    pub(crate) fn operand_mixture(&self, op: Operand) -> Result<Cow<'_, Mixture>, GraphError> {
+    /// The content an operand contributes, read from the class table.
+    fn operand_mixture(&self, op: Operand) -> Result<&Mixture, GraphError> {
         match op {
             Operand::Input(f) => {
-                Mixture::try_pure(f.0, self.fluid_count).map(Cow::Owned).map_err(GraphError::Ratio)
+                let class = self.table.pure(f).map_err(GraphError::Ratio)?;
+                Ok(&self.table[class])
             }
-            Operand::Droplet(id) => {
-                if id.index() >= self.nodes.len() {
-                    return Err(GraphError::UnknownNode { node: id });
-                }
-                Ok(Cow::Borrowed(&self.nodes[id.index()].mixture))
-            }
+            Operand::Droplet(id) => match self.nodes.get(id.index()) {
+                Some(node) => Ok(&self.table[node.class]),
+                None => Err(GraphError::UnknownNode { node: id }),
+            },
         }
     }
 }
+
+impl PartialEq for MixGraph {
+    fn eq(&self, other: &Self) -> bool {
+        let shared = Arc::ptr_eq(&self.table, &other.table);
+        let same = |a: ClassId, b: ClassId| {
+            if shared {
+                a == b
+            } else {
+                self.table.get(a) == other.table.get(b)
+            }
+        };
+        self.fluid_count() == other.fluid_count()
+            && self.roots == other.roots
+            && self.nodes.len() == other.nodes.len()
+            && self.nodes.iter().zip(&other.nodes).all(|(a, b)| {
+                (a.left, a.right, a.level, a.tree) == (b.left, b.right, b.level, b.tree)
+                    && same(a.class, b.class)
+            })
+            && self.targets.len() == other.targets.len()
+            && self.targets.iter().zip(&other.targets).all(|(&a, &b)| same(a, b))
+    }
+}
+
+impl Eq for MixGraph {}
 
 #[cfg(test)]
 mod tests {
@@ -349,6 +450,62 @@ mod tests {
         assert_eq!(labels[root.index()], "m1,1");
         assert_eq!(labels[a.index()], "m1,2");
         assert_eq!(labels[c.index()], "m1,3");
+    }
+
+    fn mixture(parts: Vec<u64>, level: u32) -> Mixture {
+        Mixture::new(level, parts).unwrap()
+    }
+
+    #[test]
+    fn overconsumed_raw_graph_reports_instead_of_panicking() {
+        // n0 = x1 + x2 feeds n1, n2 and the root n3: three consumers.
+        let input = |f| Operand::Input(FluidId(f));
+        let n0 = Operand::Droplet(NodeId(0));
+        let nodes = vec![
+            (MixNode::new(input(0), input(1), 1, 0), mixture(vec![1, 1], 1)),
+            (MixNode::new(n0, input(0), 2, 0), mixture(vec![3, 1], 2)),
+            (MixNode::new(n0, input(0), 2, 0), mixture(vec![3, 1], 2)),
+            (MixNode::new(n0, Operand::Droplet(NodeId(1)), 3, 0), mixture(vec![5, 3], 3)),
+        ];
+        let g = MixGraph::from_raw_parts(2, nodes, vec![NodeId(3)], vec![mixture(vec![5, 3], 3)]);
+        assert_eq!(g.consumers(NodeId(0)).len(), 3);
+        assert_eq!(g.waste_of(NodeId(0)), 0);
+        // n1 wastes one droplet, the unconsumed n2 both.
+        assert_eq!(g.stats().waste, 3);
+        assert_eq!(g.validate(), Err(GraphError::OverconsumedDroplet { node: NodeId(0) }));
+    }
+
+    #[test]
+    fn dangling_operand_reports_instead_of_panicking() {
+        let nodes = vec![(
+            MixNode::new(Operand::Input(FluidId(0)), Operand::Droplet(NodeId(7)), 1, 0),
+            mixture(vec![1, 1], 1),
+        )];
+        let g = MixGraph::from_raw_parts(2, nodes, vec![NodeId(0)], vec![mixture(vec![1, 1], 1)]);
+        assert_eq!(g.labels(), vec!["m1,1".to_string()]);
+        assert!(g.to_dot().contains("n7 -> n0"));
+        assert_eq!(g.stats().input_total, 1);
+        assert_eq!(g.validate(), Err(GraphError::UnknownNode { node: NodeId(7) }));
+    }
+
+    #[test]
+    fn equality_compares_contents_not_class_numbers() {
+        // A table that interned x2 + x3 first numbers x1 + x2 differently.
+        let mut warm = GraphBuilder::new(3);
+        warm.mix(Operand::Input(FluidId(1)), Operand::Input(FluidId(2))).unwrap();
+        let (table, _) = warm.into_parts();
+        let build = |mut b: GraphBuilder| {
+            let root = b.mix(Operand::Input(FluidId(0)), Operand::Input(FluidId(1))).unwrap();
+            b.finish_tree(root);
+            b.finish(&TargetRatio::new(vec![1, 1, 0]).unwrap()).unwrap()
+        };
+        let fresh = build(GraphBuilder::new(3));
+        let shifted = build(GraphBuilder::with_table(table));
+        let root = fresh.roots()[0];
+        assert_ne!(fresh.node(root).class(), shifted.node(root).class());
+        assert_eq!(fresh, shifted);
+        // A clone shares the table instead of copying it.
+        assert!(Arc::ptr_eq(fresh.clone().class_table(), fresh.class_table()));
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //! covers both ordinary tree edges and the cross-tree *waste-reuse* edges
 //! that make the streaming engine efficient.
 //!
+//! Vertices name their content by a dense [`ClassId`] into a shared
+//! [`ClassTable`] of the distinct mixtures in use; [`GraphBuilder::mix`]
+//! interns each new content once, so graphs rebuilt from one template copy
+//! class ids instead of recomputing CF vectors.
+//!
 //! The key quantities of the paper are all derivable here and exposed via
 //! [`GraphStats`]: `Tms` (mix-split count), `W` (waste droplets), `I[]`/`I`
 //! (per-fluid and total input droplets) and the target surplus.
@@ -42,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 mod builder;
+mod class;
 mod dot;
 mod error;
 mod error_model;
@@ -49,6 +55,7 @@ mod graph;
 mod stats;
 
 pub use builder::GraphBuilder;
+pub use class::{ClassId, ClassTable};
 pub use error::GraphError;
 pub use error_model::CfInterval;
 pub use graph::{MixGraph, MixNode, NodeId, Operand};

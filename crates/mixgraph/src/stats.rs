@@ -31,7 +31,10 @@ impl GraphStats {
         for (id, node) in graph.iter() {
             for op in node.operands() {
                 if let Operand::Input(f) = op {
-                    inputs[f.0] += 1;
+                    // An unvalidated graph may name a fluid outside its set.
+                    if let Some(count) = inputs.get_mut(f.0) {
+                        *count += 1;
+                    }
                 }
             }
             waste += graph.waste_of(id);

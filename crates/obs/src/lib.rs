@@ -192,6 +192,9 @@ impl Drop for TraceScope {
         if let Some(previous) = self.previous_sink.take() {
             let _ = recorder::swap_sink(previous);
         }
+        // Spans recorded under the context reach their recorder when the
+        // context is left.
+        recorder::flush_pending();
     }
 }
 

@@ -1,7 +1,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -130,14 +130,18 @@ pub struct SpanRecord {
 
 /// Process-wide span-ID sequence; mixed through FNV so IDs are
 /// well-distributed yet fully deterministic (no random per-process seed).
+/// Threads draw it in blocks of [`SPAN_ID_BLOCK`].
 static NEXT_SPAN_SEQ: AtomicU64 = AtomicU64::new(1);
+/// Number of threads with an adopted sink (see [`crate::TraceContext`]).
+static ADOPTED_SINKS: AtomicUsize = AtomicUsize::new(0);
 /// Process-wide thread ordinal sequence (0 is reserved for "unassigned").
 static NEXT_THREAD_SEQ: AtomicU32 = AtomicU32::new(1);
 
-fn next_span_id() -> u64 {
-    let seq = NEXT_SPAN_SEQ.fetch_add(1, Ordering::Relaxed);
-    dmf_hash::mix64(seq).max(1)
-}
+/// How many span-ID sequence numbers a thread reserves at a time.
+const SPAN_ID_BLOCK: u64 = 1024;
+
+/// How many finished spans a thread buffers before it flushes them anyway.
+const PENDING_CAPACITY: usize = 64;
 
 /// A stable small ordinal for the calling thread, assigned on first use.
 pub fn thread_ordinal() -> u32 {
@@ -161,14 +165,145 @@ struct Frame {
 }
 
 thread_local! {
-    /// The open-span stack of the current thread; the top frame is the
-    /// parent of the next span started here.
-    static FRAMES: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+    /// The span bookkeeping of the current thread.
+    static THREAD: RefCell<ThreadSpans> = const { RefCell::new(ThreadSpans::new()) };
+    static THREAD_ORDINAL: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+/// A finished span waiting in its thread's buffer.
+#[derive(Debug)]
+struct Finished {
+    name: &'static str,
+    trace_id: u64,
+    span_id: u64,
+    parent_id: u64,
+    started: Instant,
+    ended: Instant,
+}
+
+/// The recorder a thread's buffered spans belong to: the global one, or a
+/// sink adopted through a [`crate::TraceContext`].
+#[derive(Debug)]
+enum Owner {
+    Global(&'static Recorder),
+    Shared(Arc<Recorder>),
+}
+
+impl Owner {
+    fn recorder(&self) -> &Recorder {
+        match self {
+            Owner::Global(r) => r,
+            Owner::Shared(r) => r,
+        }
+    }
+}
+
+/// One thread's span bookkeeping: its adopted sink, its open-span stack,
+/// its block of span IDs, and the spans it finished but has not yet handed
+/// to their recorder.
+///
+/// Finished spans are handed over in batches, under one lock acquisition
+/// instead of one per span. Spans of the global recorder and of adopted
+/// sinks are buffered, and so are spans of any recorder the buffer already
+/// holds; another borrowed recorder is locked per span, since a buffer that
+/// outlives the borrow could not reach it. The buffer flushes when the
+/// thread's outermost span ends, when an adopted [`crate::TraceContext`]
+/// is left, when it holds [`PENDING_CAPACITY`] spans or a span of another
+/// recorder arrives, before this thread reads or resets any recorder, and
+/// when the thread exits — so a recorder holds every span whose thread has
+/// left its outermost span.
+#[derive(Debug)]
+struct ThreadSpans {
     /// When set, `span!` records into this recorder instead of the global
     /// one — how a serve worker redirects library spans into the server's
     /// private recorder for the duration of one job.
-    static SINK: RefCell<Option<Arc<Recorder>>> = const { RefCell::new(None) };
-    static THREAD_ORDINAL: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    sink: Option<Arc<Recorder>>,
+    /// The open-span stack; the top frame is the parent of the next span
+    /// started here.
+    frames: Vec<Frame>,
+    /// The unused part `next_seq..end_seq` of this thread's ID block.
+    next_seq: u64,
+    end_seq: u64,
+    owner: Option<Owner>,
+    pending: Vec<Finished>,
+}
+
+impl ThreadSpans {
+    const fn new() -> Self {
+        ThreadSpans {
+            sink: None,
+            frames: Vec::new(),
+            next_seq: 0,
+            end_seq: 0,
+            owner: None,
+            pending: Vec::new(),
+        }
+    }
+
+    /// Opens a span on `sink`: a fresh ID, nested under the top frame.
+    fn begin<'a>(&mut self, sink: SinkRef<'a>, name: &'static str) -> SpanActive<'a> {
+        let span_id = self.next_span_id();
+        let (trace_id, parent_id) = match self.frames.last() {
+            Some(top) => (top.trace_id, top.span_id),
+            None => (span_id, 0),
+        };
+        self.frames.push(Frame { trace_id, span_id });
+        SpanActive { sink, name, started: Instant::now(), trace_id, span_id, parent_id }
+    }
+
+    fn next_span_id(&mut self) -> u64 {
+        if self.next_seq == self.end_seq {
+            self.next_seq = NEXT_SPAN_SEQ.fetch_add(SPAN_ID_BLOCK, Ordering::Relaxed);
+            self.end_seq = self.next_seq + SPAN_ID_BLOCK;
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        dmf_hash::mix64(seq).max(1)
+    }
+
+    /// Pops the frame of `span_id` and any a leaked inner guard left above
+    /// it, so one forgotten span cannot corrupt later parents.
+    fn pop_frame(&mut self, span_id: u64) {
+        if let Some(pos) = self.frames.iter().rposition(|f| f.span_id == span_id) {
+            self.frames.truncate(pos);
+        }
+    }
+
+    /// Whether spans of `sink` may join the buffer, switching its owner
+    /// (after flushing the previous owner's spans) when they can.
+    #[inline]
+    fn hold(&mut self, sink: &SinkRef<'_>) -> bool {
+        if self.owner.as_ref().is_some_and(|o| std::ptr::eq(o.recorder(), sink.recorder())) {
+            return true;
+        }
+        let Some(owner) = sink.owner() else {
+            return false;
+        };
+        self.flush();
+        self.owner = Some(owner);
+        true
+    }
+
+    /// Hands the buffered spans to their recorder and lets go of it, so a
+    /// thread never keeps an adopted sink alive once its spans are in.
+    fn flush(&mut self) {
+        if let Some(owner) = self.owner.take() {
+            if !self.pending.is_empty() {
+                owner.recorder().push_finished(&mut self.pending);
+            }
+        }
+    }
+}
+
+impl Drop for ThreadSpans {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// Hands the calling thread's buffered spans to their recorder.
+pub(crate) fn flush_pending() {
+    let _ = THREAD.try_with(|spans| spans.borrow_mut().flush());
 }
 
 #[derive(Debug)]
@@ -180,10 +315,12 @@ struct Inner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
-    /// Span-duration histograms keyed by the span's static name — no
-    /// per-span `String` allocation on the hot path. Merged into
-    /// `histograms` as `span.<name>` at snapshot time.
-    span_hists: BTreeMap<&'static str, Histogram>,
+    /// Span-duration histograms, one per distinct span name (the name at
+    /// the same index of `span_hist_names`) — no per-span `String`
+    /// allocation on the hot path. Merged into `histograms` as
+    /// `span.<name>` at snapshot time.
+    span_hist_names: Vec<&'static str>,
+    span_hists: Vec<Histogram>,
 }
 
 impl Inner {
@@ -196,8 +333,17 @@ impl Inner {
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
-            span_hists: BTreeMap::new(),
+            span_hist_names: Vec::new(),
+            span_hists: Vec::new(),
         }
+    }
+
+    fn push_finished(&mut self, span: Finished, tid: u32) {
+        let Finished { name, trace_id, span_id, parent_id, started, ended } = span;
+        let nanos = |d: Duration| d.as_nanos().min(u128::from(u64::MAX)) as u64;
+        let start_ns = nanos(started.duration_since(self.epoch));
+        let dur_ns = nanos(ended.duration_since(started));
+        self.push_span(SpanRecord { name, trace_id, span_id, parent_id, tid, start_ns, dur_ns });
     }
 
     fn push_span(&mut self, record: SpanRecord) {
@@ -205,8 +351,25 @@ impl Inner {
             self.spans.pop_front();
             self.spans_dropped += 1;
         }
-        self.span_hists.entry(record.name).or_default().record(record.dur_ns);
+        self.span_hist(record.name).record(record.dur_ns);
         self.spans.push_back(record);
+    }
+
+    /// The duration histogram of span `name`. A span site's name is one
+    /// static string, so a pointer comparison finds it; equal names at
+    /// other addresses share the entry.
+    fn span_hist(&mut self, name: &'static str) -> &mut Histogram {
+        let names = &self.span_hist_names;
+        let index = names
+            .iter()
+            .position(|&n| std::ptr::eq(n, name))
+            .or_else(|| names.iter().position(|&n| n == name))
+            .unwrap_or_else(|| {
+                self.span_hist_names.push(name);
+                self.span_hists.push(Histogram::default());
+                self.span_hists.len() - 1
+            });
+        &mut self.span_hists[index]
     }
 }
 
@@ -275,9 +438,18 @@ impl Recorder {
     /// Clears all recorded data and restarts the session epoch, keeping
     /// the configured span capacity.
     pub fn reset(&self) {
+        flush_pending();
         let mut inner = self.lock();
-        let capacity = inner.span_capacity;
-        *inner = Inner::new(capacity);
+        // Cleared in place, so a recorder reset per measurement window
+        // keeps its span ring's allocation.
+        inner.epoch = Instant::now();
+        inner.spans.clear();
+        inner.spans_dropped = 0;
+        inner.counters.clear();
+        inner.gauges.clear();
+        inner.histograms.clear();
+        inner.span_hist_names.clear();
+        inner.span_hists.clear();
     }
 
     // A thread that panicked while recording leaves at worst one sample
@@ -299,7 +471,8 @@ impl Recorder {
         if !self.is_enabled() {
             return Span { active: None };
         }
-        Span { active: Some(SpanActive::begin(SinkRef::Borrowed(self), name)) }
+        let active = THREAD.with(|spans| spans.borrow_mut().begin(SinkRef::Borrowed(self), name));
+        Span { active: Some(active) }
     }
 
     /// An adoptable handle rooting future spans (on any thread) under the
@@ -325,13 +498,8 @@ impl Recorder {
         if !self.is_enabled() {
             return;
         }
-        let span_id = next_span_id();
-        let dur_ns = ended.duration_since(started).as_nanos().min(u128::from(u64::MAX)) as u64;
-        let tid = thread_ordinal();
-        let mut inner = self.lock();
-        let start_ns =
-            started.duration_since(inner.epoch).as_nanos().min(u128::from(u64::MAX)) as u64;
-        inner.push_span(SpanRecord { name, trace_id, span_id, parent_id, tid, start_ns, dur_ns });
+        let span_id = THREAD.with(|spans| spans.borrow_mut().next_span_id());
+        self.finish_span(Finished { name, trace_id, span_id, parent_id, started, ended });
     }
 
     /// Adds `delta` to the monotonic counter `name`.
@@ -360,7 +528,11 @@ impl Recorder {
             return;
         }
         let mut inner = self.lock();
-        inner.gauges.insert(name.to_owned(), value);
+        if let Some(v) = inner.gauges.get_mut(name) {
+            *v = value;
+        } else {
+            inner.gauges.insert(name.to_owned(), value);
+        }
     }
 
     /// Raises gauge `name` to `value` if it is higher than the current
@@ -387,29 +559,28 @@ impl Recorder {
         inner.histograms.entry(name.to_owned()).or_default().record(ns);
     }
 
-    fn finish_span(
-        &self,
-        name: &'static str,
-        started: Instant,
-        trace_id: u64,
-        span_id: u64,
-        parent_id: u64,
-    ) {
-        if !self.is_enabled() {
-            return;
-        }
-        let dur_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+    /// Records one finished span now, under its own lock acquisition.
+    fn finish_span(&self, span: Finished) {
         let tid = thread_ordinal();
         let mut inner = self.lock();
-        let start_ns =
-            started.duration_since(inner.epoch).as_nanos().min(u128::from(u64::MAX)) as u64;
-        inner.push_span(SpanRecord { name, trace_id, span_id, parent_id, tid, start_ns, dur_ns });
+        inner.push_finished(span, tid);
+    }
+
+    /// Records (and drains) a thread's buffered spans under one lock
+    /// acquisition.
+    fn push_finished(&self, spans: &mut Vec<Finished>) {
+        let tid = thread_ordinal();
+        let mut inner = self.lock();
+        for span in spans.drain(..) {
+            inner.push_finished(span, tid);
+        }
     }
 
     /// The recorded spans belonging to `trace_id`, in start order — the
     /// per-request stage breakdown a serve `plan` response embeds when the
     /// client asks for a trace.
     pub fn trace_spans(&self, trace_id: u64) -> Vec<SpanRecord> {
+        flush_pending();
         let inner = self.lock();
         let mut spans: Vec<SpanRecord> =
             inner.spans.iter().filter(|s| s.trace_id == trace_id).cloned().collect();
@@ -419,9 +590,10 @@ impl Recorder {
 
     /// A consistent copy of everything recorded so far.
     pub fn snapshot(&self) -> Snapshot {
+        flush_pending();
         let inner = self.lock();
         let mut histograms = inner.histograms.clone();
-        for (name, h) in &inner.span_hists {
+        for (name, h) in inner.span_hist_names.iter().zip(&inner.span_hists) {
             histograms.insert(format!("span.{name}"), h.clone());
         }
         Snapshot {
@@ -475,6 +647,18 @@ impl SinkRef<'_> {
             SinkRef::Shared(r) => r,
         }
     }
+
+    /// The owner a thread's span buffer may hold this sink's spans under,
+    /// or `None` for a recorder borrowed from elsewhere than the global.
+    fn owner(&self) -> Option<Owner> {
+        match self {
+            SinkRef::Borrowed(r) if std::ptr::eq(*r, crate::global()) => {
+                Some(Owner::Global(crate::global()))
+            }
+            SinkRef::Borrowed(_) => None,
+            SinkRef::Shared(r) => Some(Owner::Shared(Arc::clone(r))),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -487,63 +671,51 @@ struct SpanActive<'a> {
     parent_id: u64,
 }
 
-impl<'a> SpanActive<'a> {
-    fn begin(sink: SinkRef<'a>, name: &'static str) -> Self {
-        let span_id = next_span_id();
-        let (trace_id, parent_id) = FRAMES.with(|frames| {
-            let mut frames = frames.borrow_mut();
-            let (trace_id, parent_id) = match frames.last() {
-                Some(top) => (top.trace_id, top.span_id),
-                None => (span_id, 0),
-            };
-            frames.push(Frame { trace_id, span_id });
-            (trace_id, parent_id)
-        });
-        SpanActive { sink, name, started: Instant::now(), trace_id, span_id, parent_id }
-    }
-}
-
 /// Starts a span on the thread's adopted sink recorder if one is set (see
 /// [`crate::TraceContext::enter`]), falling back to the [`crate::global`]
 /// recorder — the function behind the [`crate::span!`] macro.
 pub fn current_span(name: &'static str) -> Span<'static> {
-    let sink = SINK.with(|s| s.borrow().clone());
-    match sink {
-        Some(recorder) => {
-            if !recorder.is_enabled() {
-                return Span { active: None };
-            }
-            Span { active: Some(SpanActive::begin(SinkRef::Shared(recorder), name)) }
-        }
-        None => crate::global().span(name),
+    // With no sink adopted anywhere and the global recorder off, nothing
+    // can record: skip the thread-local state altogether.
+    if ADOPTED_SINKS.load(Ordering::Relaxed) == 0 && !crate::global().is_enabled() {
+        return Span { active: None };
     }
+    THREAD.with(|spans| {
+        let mut spans = spans.borrow_mut();
+        let sink = match &spans.sink {
+            Some(recorder) if recorder.is_enabled() => SinkRef::Shared(Arc::clone(recorder)),
+            None if crate::global().is_enabled() => SinkRef::Borrowed(crate::global()),
+            _ => return Span { active: None },
+        };
+        Span { active: Some(spans.begin(sink, name)) }
+    })
 }
 
 pub(crate) fn current_sink() -> Option<Arc<Recorder>> {
-    SINK.with(|s| s.borrow().clone())
+    THREAD.with(|spans| spans.borrow().sink.clone())
 }
 
 pub(crate) fn swap_sink(next: Option<Arc<Recorder>>) -> Option<Arc<Recorder>> {
-    SINK.with(|s| s.replace(next))
+    let adopting = next.is_some();
+    let previous = THREAD.with(|spans| std::mem::replace(&mut spans.borrow_mut().sink, next));
+    match (previous.is_some(), adopting) {
+        (false, true) => ADOPTED_SINKS.fetch_add(1, Ordering::Relaxed),
+        (true, false) => ADOPTED_SINKS.fetch_sub(1, Ordering::Relaxed),
+        _ => 0,
+    };
+    previous
 }
 
 pub(crate) fn current_frame() -> Option<(u64, u64)> {
-    FRAMES.with(|frames| frames.borrow().last().map(|f| (f.trace_id, f.span_id)))
+    THREAD.with(|spans| spans.borrow().frames.last().map(|f| (f.trace_id, f.span_id)))
 }
 
 pub(crate) fn push_frame(trace_id: u64, span_id: u64) {
-    FRAMES.with(|frames| frames.borrow_mut().push(Frame { trace_id, span_id }));
+    THREAD.with(|spans| spans.borrow_mut().frames.push(Frame { trace_id, span_id }));
 }
 
 pub(crate) fn pop_frame(span_id: u64) {
-    FRAMES.with(|frames| {
-        let mut frames = frames.borrow_mut();
-        if let Some(pos) = frames.iter().rposition(|f| f.span_id == span_id) {
-            // Truncating also clears frames a leaked inner guard left
-            // behind, so one forgotten span cannot corrupt later parents.
-            frames.truncate(pos);
-        }
-    });
+    THREAD.with(|spans| spans.borrow_mut().pop_frame(span_id));
 }
 
 /// A guard returned by [`Recorder::span`]; records the span when dropped.
@@ -565,16 +737,34 @@ impl Span<'_> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if let Some(active) = self.active.take() {
-            pop_frame(active.span_id);
-            active.sink.recorder().finish_span(
-                active.name,
-                active.started,
-                active.trace_id,
-                active.span_id,
-                active.parent_id,
-            );
-        }
+        let Some(active) = self.active.take() else {
+            return;
+        };
+        let ended = Instant::now();
+        THREAD.with(|spans| {
+            let mut spans = spans.borrow_mut();
+            spans.pop_frame(active.span_id);
+            let recorder = active.sink.recorder();
+            if !recorder.is_enabled() {
+                return;
+            }
+            let span = Finished {
+                name: active.name,
+                trace_id: active.trace_id,
+                span_id: active.span_id,
+                parent_id: active.parent_id,
+                started: active.started,
+                ended,
+            };
+            if !spans.hold(&active.sink) {
+                recorder.finish_span(span);
+                return;
+            }
+            spans.pending.push(span);
+            if spans.pending.len() >= PENDING_CAPACITY || spans.frames.is_empty() {
+                spans.flush();
+            }
+        });
     }
 }
 
@@ -760,6 +950,35 @@ mod tests {
         assert_eq!(wait.parent_id, parent_id);
         assert_eq!(wait.trace_id, trace_id);
         assert_eq!(wait.dur_ns, 100_000);
+    }
+
+    #[test]
+    fn buffered_spans_reach_the_recorder_before_any_read() {
+        let rec = Arc::new(Recorder::new());
+        let ctx = rec.trace_context(7, 9);
+        {
+            let _adopted = ctx.enter();
+            let _outer = crate::span!("outer");
+            {
+                let _inner = crate::span!("inner");
+            }
+            // Read while `outer` is still open: the finished span is there.
+            let spans = rec.trace_spans(7);
+            assert_eq!(spans.len(), 1);
+            assert_eq!(spans[0].name, "inner");
+        }
+        let snap = rec.snapshot();
+        assert_eq!(snap.spans.len(), 2);
+        assert_eq!(snap.spans[1].parent_id, 9, "outer hangs under the adopted parent");
+        // More spans than one buffer holds, all under one open span.
+        {
+            let _adopted = ctx.enter();
+            let _outer = crate::span!("outer");
+            for _ in 0..3 * PENDING_CAPACITY {
+                let _tick = crate::span!("tick");
+            }
+        }
+        assert_eq!(rec.snapshot().histograms["span.tick"].count, 3 * PENDING_CAPACITY as u64);
     }
 
     #[test]

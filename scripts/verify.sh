@@ -28,6 +28,10 @@ echo "==> table4_passes golden (the whole Table 4 grid must match results/table4
 cargo run --release -q -p dmf-bench --bin table4_passes > /tmp/dmf_table4_passes.txt
 diff results/table4_passes.txt /tmp/dmf_table4_passes.txt
 
+echo "==> table3_full golden (Table 3 over the full 6066-ratio corpus must match results/table3_full.txt byte for byte)"
+cargo run --release -q -p dmf-bench --bin table3_improvements > /tmp/dmf_table3_full.txt
+diff results/table3_full.txt /tmp/dmf_table3_full.txt
+
 echo "==> simulate golden (PCR at D=20, one pass and --storage 2 multi-pass, with the hottest-electrode lines, must match results/simulate_pcr.txt byte for byte)"
 {
   target/release/dmfstream simulate 2:1:1:1:1:1:9 --demand 20

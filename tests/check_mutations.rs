@@ -22,7 +22,7 @@ use dmfstream::engine::{realize_pass, EngineConfig, EngineError, StreamingEngine
 use dmfstream::forest::{build_forest, ReusePolicy};
 use dmfstream::mixalgo::{MinMix, MixingAlgorithm};
 use dmfstream::mixgraph::{MixGraph, MixNode, Operand};
-use dmfstream::ratio::{FluidId, TargetRatio};
+use dmfstream::ratio::{FluidId, Mixture, TargetRatio};
 use dmfstream::route::{route_concurrent, Grid, RouteRequest, TimedPath};
 use dmfstream::sched::{srs_schedule, Schedule};
 use dmfstream::sim::{ChipProgram, DropletId, Instruction};
@@ -41,8 +41,9 @@ fn good_pass(demand: u64) -> (TargetRatio, MixGraph, Schedule) {
     (target, forest, schedule)
 }
 
-fn clone_nodes(graph: &MixGraph) -> Vec<MixNode> {
-    graph.iter().map(|(_, n)| n.clone()).collect()
+/// Every vertex with the mixture it claims, as `from_raw_parts` takes them.
+fn raw_nodes(graph: &MixGraph) -> Vec<(MixNode, Mixture)> {
+    graph.iter().map(|(id, n)| (*n, graph.mixture(id).clone())).collect()
 }
 
 #[test]
@@ -57,23 +58,24 @@ fn baseline_is_clean() {
 #[test]
 fn dropped_mix_input_trips_cf001() {
     let (target, forest, schedule) = good_pass(8);
-    let mut nodes = clone_nodes(&forest);
+    let mut nodes = raw_nodes(&forest);
     // Find a node with an Input operand and swap the reagent for another.
     let victim = nodes
         .iter()
-        .position(|n| matches!(n.left(), Operand::Input(_)))
+        .position(|(n, _)| matches!(n.left(), Operand::Input(_)))
         .expect("some node consumes a fresh input");
-    let new_left = match nodes[victim].left() {
+    let new_left = match nodes[victim].0.left() {
         Operand::Input(f) => Operand::Input(FluidId((f.0 + 1) % forest.fluid_count())),
         Operand::Droplet(_) => unreachable!("victim consumes an input"),
     };
-    let n = &nodes[victim];
-    nodes[victim] = MixNode::new(new_left, n.right(), n.mixture().clone(), n.level(), n.tree());
+    let n = nodes[victim].0;
+    // The node keeps claiming its old mixture.
+    nodes[victim].0 = MixNode::new(new_left, n.right(), n.level(), n.tree());
     let mutated = MixGraph::from_raw_parts(
         forest.fluid_count(),
         nodes,
         forest.roots().to_vec(),
-        forest.targets().to_vec(),
+        forest.targets().cloned().collect(),
     );
     let report = check_pass(&target, 8, &mutated, &schedule, None);
     assert!(report.has(RuleCode::Cf001), "swapping a mix input must trip CF001, got:\n{report}");
