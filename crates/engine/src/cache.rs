@@ -14,7 +14,7 @@
 //! [`Arc::ptr_eq`]. The store is **bounded**: it holds at most
 //! [`PlanCache::capacity`] plans and evicts the least-recently-used entry
 //! when a store would exceed it, so a long-lived process (the
-//! `dmfstream serve` worker pool, a batch daemon) has a hard memory
+//! `dmfstream serve` planning service, a batch daemon) has a hard memory
 //! ceiling instead of the unbounded growth the original `HashMap` had.
 //!
 //! # Sharding and the read-mostly hit path

@@ -215,8 +215,8 @@ impl Owner {
 #[derive(Debug)]
 struct ThreadSpans {
     /// When set, `span!` records into this recorder instead of the global
-    /// one — how a serve worker redirects library spans into the server's
-    /// private recorder for the duration of one job.
+    /// one — how a serve connection thread redirects library spans into
+    /// the server's private recorder.
     sink: Option<Arc<Recorder>>,
     /// The open-span stack; the top frame is the parent of the next span
     /// started here.
@@ -480,26 +480,6 @@ impl Recorder {
     /// [`crate::TraceContext::enter`].
     pub fn trace_context(self: &Arc<Self>, trace_id: u64, parent_id: u64) -> crate::TraceContext {
         crate::TraceContext { sink: Some(Arc::clone(self)), trace_id, parent_id }
-    }
-
-    /// Records a span from explicit timestamps instead of a guard — how
-    /// the serve worker materialises the **queue-wait** span after the
-    /// fact: the connection thread stamped `started` at enqueue, the
-    /// worker stamps `ended` at dequeue, and the interval becomes a
-    /// first-class child of the request root.
-    pub fn record_span_at(
-        &self,
-        name: &'static str,
-        trace_id: u64,
-        parent_id: u64,
-        started: Instant,
-        ended: Instant,
-    ) {
-        if !self.is_enabled() {
-            return;
-        }
-        let span_id = THREAD.with(|spans| spans.borrow_mut().next_span_id());
-        self.finish_span(Finished { name, trace_id, span_id, parent_id, started, ended });
     }
 
     /// Adds `delta` to the monotonic counter `name`.
@@ -935,24 +915,6 @@ mod tests {
     }
 
     #[test]
-    fn record_span_at_attaches_to_an_explicit_parent() {
-        let rec = Recorder::new();
-        let (trace_id, parent_id) = {
-            let root = rec.span("root");
-            root.ids().unwrap()
-        };
-        let start = Instant::now();
-        let end = start + Duration::from_micros(100);
-        rec.record_span_at("queue_wait", trace_id, parent_id, start, end);
-        let spans = rec.trace_spans(trace_id);
-        assert_eq!(spans.len(), 2);
-        let wait = spans.iter().find(|s| s.name == "queue_wait").unwrap();
-        assert_eq!(wait.parent_id, parent_id);
-        assert_eq!(wait.trace_id, trace_id);
-        assert_eq!(wait.dur_ns, 100_000);
-    }
-
-    #[test]
     fn buffered_spans_reach_the_recorder_before_any_read() {
         let rec = Arc::new(Recorder::new());
         let ctx = rec.trace_context(7, 9);
@@ -1005,7 +967,6 @@ mod tests {
         rec.count("never", 1);
         rec.gauge_max("never", 1);
         rec.record_duration("never", Duration::from_secs(1));
-        rec.record_span_at("never", 1, 0, Instant::now(), Instant::now());
         let snap = rec.snapshot();
         assert!(snap.spans.is_empty());
         assert!(snap.counters.is_empty());

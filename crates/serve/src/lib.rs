@@ -8,15 +8,17 @@
 //! peak) and the plan's content-addressed fingerprint, or a typed
 //! error. See [`protocol`] for the grammar.
 //!
-//! The server is a [`std::thread::scope`]d worker pool behind a bounded
-//! admission queue over one shared, bounded-LRU
-//! [`dmf_engine::PlanCache`], so repeated requests for the same
-//! `(config, target, demand)` key are answered from cache —
-//! byte-identically, since a plan is a pure function of its key — while
-//! the cache's memory stays capped under churn. Overload sheds as fast
-//! `busy` rejections; a queueing deadline bounds how stale a served
-//! plan request can be; `{"op":"shutdown"}` drains in-flight work
-//! before [`Server::run`] returns.
+//! The server answers each connection on its own [`std::thread::scope`]d
+//! thread, over one shared, bounded-LRU [`dmf_engine::PlanCache`], so
+//! repeated requests for the same `(config, target, demand)` key are
+//! answered from cache — byte-identically, since a plan is a pure
+//! function of its key — while the cache's memory stays capped under
+//! churn. A cache miss is planned on its connection thread while it
+//! holds one of [`ServeConfig::workers`] planner permits; with none free
+//! it waits in arrival order behind at most [`ServeConfig::queue_depth`]
+//! others. Overload sheds as fast `busy` rejections; a deadline bounds
+//! how long a plan request may wait for a permit; `{"op":"shutdown"}`
+//! drains the waiting requests before [`Server::run`] returns.
 //!
 //! # Examples
 //!
@@ -43,12 +45,11 @@
 #![warn(missing_docs)]
 
 pub mod protocol;
-pub mod queue;
 
 mod client;
+mod permits;
 mod server;
 
 pub use client::Client;
 pub use protocol::{PlanSpec, ProtocolError, Request};
-pub use queue::{BoundedQueue, PushError};
 pub use server::{ServeConfig, Server, MAX_LINE_BYTES};

@@ -44,22 +44,30 @@ use std::fmt;
 /// `dmfstream` CLI default).
 pub const DEFAULT_DEMAND: u64 = 32;
 
+/// Longest `stall` a request may ask for, in milliseconds; a longer one
+/// is a `bad_request`, so no client can hold a planner permit (and with
+/// it shutdown) for longer than this.
+pub const MAX_STALL_MS: u64 = 10_000;
+
 /// One parsed request line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Plan a target; answered by a worker through the job queue.
+    /// Plan a target; a cache hit is answered at once, a miss is planned
+    /// on the connection thread under a planner permit.
     Plan(PlanSpec),
     /// Report `serve.*` metrics and plan-cache statistics.
     Stats,
     /// Liveness probe answered inline by the connection thread.
     Ping,
-    /// Stop accepting connections and drain the queue.
+    /// Stop accepting connections and drain the requests waiting for a
+    /// planner permit.
     Shutdown,
-    /// Test-only: occupy a worker for `ms` milliseconds. Used by the
-    /// integration tests (and nothing else) to fill the queue
-    /// deterministically; not part of the public grammar.
+    /// Test-only: hold a planner permit for `ms` milliseconds (at most
+    /// [`MAX_STALL_MS`]). Used by the integration tests (and nothing
+    /// else) to fill the line of waiters deterministically; not part of
+    /// the public grammar.
     Stall {
-        /// How long the worker sleeps.
+        /// How long the permit is held.
         ms: u64,
     },
 }
@@ -103,7 +111,7 @@ impl ProtocolError {
 
     /// A well-formed request the feasibility pre-pass rejected: the CF
     /// vector is unreachable, so the server fails fast instead of
-    /// burning a worker on it.
+    /// spending a planner permit on it.
     pub fn infeasible(message: impl Into<String>) -> Self {
         ProtocolError { code: "infeasible", message: message.into() }
     }
@@ -174,7 +182,10 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
         "ping" => Ok(Request::Ping),
         "stats" => Ok(Request::Stats),
         "shutdown" => Ok(Request::Shutdown),
-        "stall" => Ok(Request::Stall { ms: member_u64(&value, "ms")?.unwrap_or(100) }),
+        "stall" => match member_u64(&value, "ms")?.unwrap_or(100) {
+            ms @ 0..=MAX_STALL_MS => Ok(Request::Stall { ms }),
+            _ => Err(ProtocolError::new(format!("\"ms\" must be at most {MAX_STALL_MS}"))),
+        },
         "plan" => {
             let ratio_text = member_str(&value, "ratio")?
                 .ok_or_else(|| ProtocolError::new("plan needs a \"ratio\" string"))?;
@@ -186,7 +197,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
             let demand = member_u64(&value, "demand")?.unwrap_or(DEFAULT_DEMAND);
             // The mixability pre-pass runs on the raw parts, before
             // TargetRatio construction: unsatisfiable requests are
-            // rejected here on the connection thread and never enqueued.
+            // rejected here and never take a planner permit.
             dmf_check::assert_feasible(&parts, demand)
                 .map_err(|e| ProtocolError::infeasible(e.to_string()))?;
             let ratio = TargetRatio::new(parts)
@@ -357,6 +368,17 @@ mod tests {
     }
 
     #[test]
+    fn stalls_are_bounded() {
+        let at_bound = format!(r#"{{"op":"stall","ms":{MAX_STALL_MS}}}"#);
+        assert_eq!(parse_request(&at_bound).unwrap(), Request::Stall { ms: MAX_STALL_MS });
+        for ms in [MAX_STALL_MS + 1, u64::MAX] {
+            let err = parse_request(&format!(r#"{{"op":"stall","ms":{ms}}}"#)).unwrap_err();
+            assert_eq!(err.code(), "bad_request");
+            assert!(err.to_string().contains(&MAX_STALL_MS.to_string()), "{err}");
+        }
+    }
+
+    #[test]
     fn rejects_malformed_requests() {
         assert!(parse_request("not json").is_err());
         assert!(parse_request(r#"{"ratio":"1:1"}"#).is_err());
@@ -377,7 +399,7 @@ mod tests {
         let err = parse_request(r#"{"op":"plan","ratio":"16"}"#).unwrap_err();
         assert_eq!(err.code(), "infeasible");
         assert!(err.to_string().contains("FEAS002"), "{err}");
-        // Zero demand is degenerate, caught before any worker sees it.
+        // Zero demand is degenerate, caught before any planning.
         let err = parse_request(r#"{"op":"plan","ratio":"1:1","demand":0}"#).unwrap_err();
         assert_eq!(err.code(), "infeasible");
         // Malformed components stay bad_request: "1:x" is not even a ratio.

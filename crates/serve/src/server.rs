@@ -1,33 +1,35 @@
-//! The planning server: accept loop, connection threads, worker pool.
+//! The planning server: accept loop and connection threads.
 //!
 //! ```text
-//! clients ──TCP──▶ connection threads ──BoundedQueue──▶ workers
-//!                  (parse, cache hits,                    │
-//!                   admission control)                    │
-//!                       ◀──────── mpsc reply channel ─────┘
+//! clients ──TCP──▶ connection threads: parse, cache lookup
+//!                    │ hit  ──▶ encode
+//!                    │ miss ──▶ wait for a planner permit ──▶ plan ──▶ encode
+//!                    ▼
+//!                  one write per read batch of replies
 //! ```
 //!
 //! Every thread is scoped ([`std::thread::scope`]), so [`Server::run`]
-//! returns only after all connections and workers have exited — no
-//! detached threads outlive the server. Control requests (`ping`,
-//! `stats`, `shutdown`) and plan requests whose key is already cached
-//! are answered inline by the connection thread; only cache misses pass
-//! through the bounded queue, so a planner stampede degrades into fast
-//! `busy` rejections rather than unbounded memory.
+//! returns only after all connections have exited — no detached threads
+//! outlive the server. Each request is answered on its own connection
+//! thread. Control requests (`ping`, `stats`, `shutdown`) and plan
+//! requests whose key is already cached are answered at once; a cache
+//! miss (or a `stall`) first takes one of `workers` planner permits, so
+//! at most that many plans run at once and a planner stampede degrades
+//! into fast `busy` rejections once `queue_depth` requests wait.
 //!
 //! Framing: accepted sockets run with `TCP_NODELAY`, and a connection
 //! collects the replies to every complete line of one read into a single
 //! buffer that goes out in one `write_all` — one segment per reply batch,
 //! never a response and its `\n` split across two writes.
 
+use crate::permits::{Permits, Refusal};
 use crate::protocol::{self, PlanSpec, Request};
-use crate::queue::{BoundedQueue, PushError};
 use dmf_engine::{PlanCache, PlanKey, StreamPlan, StreamingEngine, DEFAULT_PLAN_CACHE_CAPACITY};
 use dmf_obs::Recorder;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How often blocked I/O loops re-check the shutdown flag.
@@ -52,21 +54,23 @@ pub struct ServeConfig {
     /// Bind address; port 0 picks a free port (read it back with
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// Worker threads executing plan requests.
+    /// Plans in flight at once: a cache miss (or a `stall`) holds one of
+    /// this many planner permits while it runs on its connection thread.
     pub workers: usize,
-    /// Admission-control queue depth; a full queue answers `busy`.
+    /// Waiters: how many requests may wait for a planner permit, in
+    /// arrival order; one more is answered `busy`.
     pub queue_depth: usize,
     /// Plan-cache capacity in entries (LRU beyond that).
     pub cache_capacity: usize,
     /// Plan-cache shard count: independently locked slices of the cache,
-    /// selected by plan-key fingerprint, so concurrent workers contend
+    /// selected by plan-key fingerprint, so concurrent connections contend
     /// only when they hit the same shard. Clamped to
     /// `1..=`[`dmf_engine::MAX_PLAN_CACHE_SHARDS`] and to the capacity.
     pub cache_shards: usize,
     /// Default per-request queueing deadline, milliseconds. A request
-    /// still queued after this long is answered with a `deadline` error
-    /// instead of being planned; `"deadline_ms"` on the request overrides
-    /// it.
+    /// still waiting for a planner permit after this long is answered
+    /// with a `deadline` error instead of being planned; `"deadline_ms"`
+    /// on the request overrides it.
     pub default_deadline_ms: u64,
     /// Slow-request threshold, milliseconds: a plan or stall request whose
     /// latency (see `serve.latency` in `DESIGN.md` §13) reaches it is
@@ -94,26 +98,6 @@ impl Default for ServeConfig {
 /// memory bounded while leaving plenty of room to fetch the stage
 /// breakdown of any in-flight trace.
 const SERVE_SPAN_CAPACITY: usize = 8_192;
-
-enum Work {
-    /// A plan request whose key missed the cache.
-    Plan(PlanSpec),
-    Stall {
-        ms: u64,
-    },
-}
-
-struct Job {
-    work: Work,
-    enqueued: Instant,
-    deadline: Duration,
-    reply: mpsc::Sender<String>,
-    /// The request's trace and root-span IDs, captured from the
-    /// connection thread's `serve_request` span so the worker can join
-    /// the same tree from its own thread.
-    trace_id: u64,
-    parent_id: u64,
-}
 
 /// A bound planning service; see the crate docs for the protocol.
 #[derive(Debug)]
@@ -172,9 +156,9 @@ impl Server {
         self.shutdown.load(Ordering::Relaxed)
     }
 
-    /// Serves until a shutdown request arrives, then drains: queued plan
-    /// requests are still answered, every connection and worker thread is
-    /// joined, and only then does `run` return.
+    /// Serves until a shutdown request arrives, then drains: requests
+    /// already waiting for a planner permit are still answered, every
+    /// connection thread is joined, and only then does `run` return.
     ///
     /// # Errors
     ///
@@ -182,16 +166,12 @@ impl Server {
     /// terminate that connection.
     pub fn run(&self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
-        let queue = BoundedQueue::new(self.config.queue_depth);
-        let queue_ref = &queue;
+        let permits = Permits::new(self.config.workers, self.config.queue_depth);
         std::thread::scope(|s| {
-            for _ in 0..self.config.workers.max(1) {
-                s.spawn(move || self.worker_loop(queue_ref));
-            }
-            let result = self.accept_loop(s, queue_ref);
-            // Closing on every exit path (including listener errors) is
-            // what lets blocked workers drain and the scope join.
-            queue.close();
+            let result = self.accept_loop(s, &permits);
+            // From here on a miss is refused `shutting_down`; requests
+            // already in line are still planned before the scope joins.
+            permits.close();
             result
         })
     }
@@ -199,7 +179,7 @@ impl Server {
     fn accept_loop<'scope>(
         &'scope self,
         s: &'scope std::thread::Scope<'scope, '_>,
-        queue: &'scope BoundedQueue<Job>,
+        permits: &'scope Permits,
     ) -> io::Result<()> {
         loop {
             if self.shutting_down() {
@@ -208,7 +188,7 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     self.recorder.count("serve.connections", 1);
-                    s.spawn(move || self.handle_connection(stream, queue));
+                    s.spawn(move || self.handle_connection(stream, permits));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(POLL_INTERVAL);
@@ -225,11 +205,14 @@ impl Server {
     /// consumed by offset. The replies to every complete line of one read
     /// are collected and sent with a single `write_all` once the read
     /// buffer holds no further complete line.
-    fn handle_connection(&self, mut stream: TcpStream, queue: &BoundedQueue<Job>) {
+    fn handle_connection(&self, mut stream: TcpStream, permits: &Permits) {
         if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() || stream.set_nodelay(true).is_err()
         {
             return;
         }
+        // Engine `span!` sites record into the server's recorder, under
+        // the request's root span (the context names no parent of its own).
+        let _sink = self.recorder.trace_context(0, 0).enter();
         let mut chunk = vec![0u8; READ_CHUNK];
         let mut pending: Vec<u8> = Vec::new();
         let mut out: Vec<u8> = Vec::new();
@@ -267,7 +250,7 @@ impl Server {
                 if line.is_empty() {
                     continue;
                 }
-                let (response, hang_up) = self.process_line(line, queue);
+                let (response, hang_up) = self.process_line(line, permits);
                 push_line(&mut out, &response);
                 if hang_up {
                     stop = true;
@@ -306,15 +289,15 @@ impl Server {
     /// Turns one request line into one response line; the flag asks the
     /// connection loop to hang up (after a shutdown acknowledgement).
     ///
-    /// Every request runs under a `serve_request` root span on the
-    /// connection thread; decoding is a `serve_decode` child and the plan
-    /// cache lookup a `serve_cache_lookup` child. A hit is encoded right
-    /// here (`serve_encode`); a miss joins the same tree from the worker
-    /// thread (queue wait, planning stages, encode) via the job's captured
-    /// trace IDs.
-    fn process_line(&self, line: &str, queue: &BoundedQueue<Job>) -> (String, bool) {
+    /// Every request runs under a `serve_request` root span; decoding is
+    /// a `serve_decode` child and the plan cache lookup a
+    /// `serve_cache_lookup` child. A hit is encoded at once
+    /// (`serve_encode`); a miss waits for a permit (`serve_queue_wait`),
+    /// plans (`serve_plan`, with the engine's stages below it) and
+    /// encodes — all on this thread, in one span tree.
+    fn process_line(&self, line: &str, permits: &Permits) -> (String, bool) {
         let root = self.recorder.span("serve_request");
-        let (trace_id, root_id) = root.ids().unwrap_or((0, 0));
+        let trace_id = root.ids().map_or(0, |(trace_id, _)| trace_id);
         self.recorder.count("serve.requests", 1);
         let parsed = {
             let _decode = self.recorder.span("serve_decode");
@@ -324,7 +307,7 @@ impl Server {
             Err(e) => {
                 // The rejection carries its own code: `infeasible` when
                 // the mixability pre-pass proved no plan exists (the
-                // request never reaches a worker), `unknown_algo` for an
+                // request never takes a permit), `unknown_algo` for an
                 // algorithm name the registry does not know,
                 // `bad_request` for malformed lines.
                 self.recorder.count(
@@ -356,7 +339,7 @@ impl Server {
                 let admitted = Instant::now();
                 let key = PlanKey::new(&spec.config, &spec.ratio, spec.demand);
                 // The request's one counted cache lookup: a miss is planned
-                // by a worker that does not look the key up again.
+                // without looking the key up again.
                 let hit = {
                     let _lookup = self.recorder.span("serve_cache_lookup");
                     self.cache.lookup(&key)
@@ -368,110 +351,81 @@ impl Server {
                         response
                     }
                     None => {
-                        let deadline_ms = spec.deadline_ms;
-                        self.enqueue_and_wait(
-                            Work::Plan(spec),
-                            deadline_ms,
-                            queue,
-                            trace_id,
-                            root_id,
-                        )
+                        self.under_permit(permits, spec.deadline_ms, admitted, trace_id, || {
+                            self.plan(&spec, &key, trace_id)
+                        })
                     }
                 };
                 (response, false)
             }
             Ok(Request::Stall { ms }) => {
                 self.recorder.count("serve.op.stall", 1);
-                (self.enqueue_and_wait(Work::Stall { ms }, None, queue, trace_id, root_id), false)
+                let response = self.under_permit(permits, None, Instant::now(), trace_id, || {
+                    std::thread::sleep(Duration::from_millis(ms));
+                    protocol::stalled_response(ms)
+                });
+                (response, false)
             }
         }
     }
 
-    /// Admission control: non-blocking push, then wait for the worker's
-    /// reply. A full queue is an immediate `busy`; a closed queue an
-    /// immediate `shutting_down`. On admission the observed queue depth
-    /// feeds the `serve.queue_depth` peak gauge.
-    fn enqueue_and_wait(
+    /// Runs `work` under a planner permit, waited for in a
+    /// `serve_queue_wait` span; a request still waiting at its deadline
+    /// (counted from `admitted`) is answered `deadline` then.
+    /// `serve.enqueued` counts admissions, `serve.dequeued` permits
+    /// granted, and the `serve.queue_depth` gauge peaks with the waiters.
+    fn under_permit(
         &self,
-        work: Work,
+        permits: &Permits,
         deadline_ms: Option<u64>,
-        queue: &BoundedQueue<Job>,
+        admitted: Instant,
         trace_id: u64,
-        parent_id: u64,
+        work: impl FnOnce() -> String,
     ) -> String {
-        let (reply, receive) = mpsc::channel();
         let deadline =
             Duration::from_millis(deadline_ms.unwrap_or(self.config.default_deadline_ms));
-        let job = Job { work, enqueued: Instant::now(), deadline, reply, trace_id, parent_id };
-        match queue.try_push(job) {
-            Err(PushError::Full) => {
-                self.recorder.count("serve.busy", 1);
-                protocol::error_response(
-                    "busy",
-                    &format!("queue full ({} pending); retry later", queue.capacity()),
-                )
-            }
-            Err(PushError::Closed) => {
-                protocol::error_response("shutting_down", "server is draining; not accepting work")
-            }
-            Ok(()) => {
+        let acquired = {
+            let _wait = self.recorder.span("serve_queue_wait");
+            // A deadline past the clock's range is no deadline.
+            permits.acquire(admitted.checked_add(deadline), |waiting| {
                 self.recorder.count("serve.enqueued", 1);
-                // A worker may already have popped the job; at the moment
-                // of admission the depth was at least 1.
-                self.recorder.gauge_max("serve.queue_depth", queue.len().max(1) as u64);
-                // Workers drain the queue even during shutdown, so every
-                // admitted job is answered and this recv cannot dangle.
-                receive.recv().unwrap_or_else(|_| {
-                    protocol::error_response("internal", "worker dropped the reply channel")
-                })
+                if waiting > 0 {
+                    self.recorder.gauge_max("serve.queue_depth", waiting as u64);
+                }
+            })
+        };
+        let waited = admitted.elapsed();
+        let response = match acquired {
+            Ok(_permit) => {
+                self.recorder.count("serve.dequeued", 1);
+                work()
             }
-        }
-    }
-
-    /// One worker: pop, record the queue wait as a first-class span,
-    /// check the queueing deadline, plan, reply.
-    fn worker_loop(&self, queue: &BoundedQueue<Job>) {
-        while let Some(job) = queue.pop() {
-            self.recorder.count("serve.dequeued", 1);
-            // Adopt the request's trace for the duration of this job so
-            // every span below — including `span!` call sites inside the
-            // engine — lands in this server's recorder, under the
-            // request's root.
-            let ctx = self.recorder.trace_context(job.trace_id, job.parent_id);
-            let adopted = ctx.enter();
-            let dequeued = Instant::now();
-            self.recorder.record_span_at(
-                "serve_queue_wait",
-                job.trace_id,
-                job.parent_id,
-                job.enqueued,
-                dequeued,
-            );
-            let waited = dequeued.duration_since(job.enqueued);
-            let response = if waited > job.deadline {
+            Err(Refusal::Busy) => {
+                self.recorder.count("serve.busy", 1);
+                let waiting = self.config.queue_depth.max(1);
+                return protocol::error_response(
+                    "busy",
+                    &format!("queue full ({waiting} waiting); retry later"),
+                );
+            }
+            Err(Refusal::Closed) => {
+                let message = "server is draining; not accepting work";
+                return protocol::error_response("shutting_down", message);
+            }
+            Err(Refusal::Deadline) => {
                 self.recorder.count("serve.deadline", 1);
                 protocol::error_response(
                     "deadline",
                     &format!(
                         "request waited {}ms in queue, past its {}ms deadline",
                         waited.as_millis(),
-                        job.deadline.as_millis()
+                        deadline.as_millis()
                     ),
                 )
-            } else {
-                match &job.work {
-                    Work::Stall { ms } => {
-                        std::thread::sleep(Duration::from_millis(*ms));
-                        protocol::stalled_response(*ms)
-                    }
-                    Work::Plan(spec) => self.plan(spec, job.trace_id),
-                }
-            };
-            drop(adopted);
-            self.record_latency(job.enqueued.elapsed(), waited, job.trace_id);
-            // The connection may have hung up while queued; nothing to do.
-            let _ = job.reply.send(response);
-        }
+            }
+        };
+        self.record_latency(admitted.elapsed(), waited, trace_id);
+        response
     }
 
     /// Records one answered plan or stall request: its latency into the
@@ -492,10 +446,9 @@ impl Server {
     }
 
     /// Plans a cache miss under a `serve_plan` span — uncached, since the
-    /// connection thread already made the request's one lookup — stores
-    /// the plan in the cache and encodes the response.
-    fn plan(&self, spec: &PlanSpec, trace_id: u64) -> String {
-        let key = PlanKey::new(&spec.config, &spec.ratio, spec.demand);
+    /// request's one lookup already missed — stores the plan in the cache
+    /// and encodes the response.
+    fn plan(&self, spec: &PlanSpec, key: &PlanKey, trace_id: u64) -> String {
         let outcome = {
             let _planning = self.recorder.span("serve_plan");
             let plan = StreamingEngine::new(spec.config).plan_shared(&spec.ratio, spec.demand);
@@ -505,7 +458,7 @@ impl Server {
             plan
         };
         match outcome {
-            Ok(plan) => self.plan_reply(&plan, spec, &key, trace_id),
+            Ok(plan) => self.plan_reply(&plan, spec, key, trace_id),
             Err(
                 e @ (dmf_engine::EngineError::Infeasible { .. }
                 | dmf_engine::EngineError::ZeroDemand),
@@ -524,8 +477,7 @@ impl Server {
     }
 
     /// Encodes a plan response under `serve_encode` and counts it under
-    /// `serve.planned` — the one encoder for cache hits (connection
-    /// thread) and misses (worker). When the request asked for a trace,
+    /// `serve.planned` — the one encoder for cache hits and misses. When the request asked for a trace,
     /// the response embeds the request's `trace_id` and the stage
     /// breakdown recorded so far.
     fn plan_reply(

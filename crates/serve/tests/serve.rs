@@ -135,7 +135,7 @@ fn infeasible_requests_fail_fast_with_the_feasibility_rule() {
     with_server(test_config(), |server, addr| {
         let mut client = Client::connect(addr).unwrap();
         // Sum 3 is not a power of two: rejected on the connection thread
-        // with the FEAS001 rule in the message, before any worker runs.
+        // with the FEAS001 rule in the message, before any planning runs.
         let line = client.request(r#"{"op":"plan","ratio":"1:2","demand":8}"#).unwrap();
         let v = json::parse(&line).unwrap();
         assert_eq!(v.get("error").and_then(Json::as_str), Some("infeasible"), "{line}");
@@ -242,11 +242,67 @@ fn a_traced_plan_request_yields_one_connected_span_tree() {
         }
         let wait = spans.iter().find(|s| s.name == "serve_queue_wait").unwrap();
         assert_eq!(wait.parent_id, root[0].span_id, "queue wait hangs off the request root");
-        // The connection thread decoded; a worker thread planned.
+        // The connection thread decoded and planned.
         let decode = spans.iter().find(|s| s.name == "serve_decode").unwrap();
         let plan_span = spans.iter().find(|s| s.name == "serve_plan").unwrap();
         assert_eq!(decode.tid, root[0].tid);
-        assert_ne!(plan_span.tid, root[0].tid, "planning happens on a worker thread");
+        assert_eq!(plan_span.tid, root[0].tid, "planning happens on the connection thread");
+    });
+}
+
+/// The member names of a flat JSON object line, in wire order (the
+/// parsed [`Json::Obj`] is a sorted map and loses it).
+fn member_names(line: &str) -> Vec<String> {
+    let body = line.trim().strip_prefix('{').and_then(|b| b.strip_suffix('}')).unwrap();
+    body.split(',')
+        .map(|member| member.split(':').next().unwrap().trim_matches('"').to_owned())
+        .collect()
+}
+
+#[test]
+fn the_stats_reply_keeps_its_ordered_key_set() {
+    with_server(test_config(), |_, addr| {
+        let mut client = Client::connect(addr).unwrap();
+        let line = client.request(r#"{"op":"stats"}"#).unwrap();
+        assert_eq!(
+            member_names(&line),
+            [
+                "ok",
+                "type",
+                "requests",
+                "connections",
+                "planned",
+                "plan_failed",
+                "bad_request",
+                "infeasible",
+                "unknown_algo",
+                "busy",
+                "deadline",
+                "slow",
+                "op_plan",
+                "op_stats",
+                "op_ping",
+                "op_shutdown",
+                "op_stall",
+                "enqueued",
+                "dequeued",
+                "latency_count",
+                "latency_mean_ns",
+                "latency_p50_ns",
+                "latency_p90_ns",
+                "latency_p99_ns",
+                "workers",
+                "queue_depth",
+                "queue_depth_peak",
+                "cache_len",
+                "cache_capacity",
+                "cache_shards",
+                "cache_hits",
+                "cache_misses",
+                "cache_evictions",
+            ],
+            "{line}"
+        );
     });
 }
 
@@ -315,13 +371,14 @@ fn an_expired_queueing_deadline_is_answered_with_a_deadline_error() {
     let config = ServeConfig { workers: 1, queue_depth: 4, ..test_config() };
     with_server(config, |server, addr| {
         std::thread::scope(|s| {
+            let stall_sent = Instant::now();
             let occupant = s.spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 client.request(r#"{"op":"stall","ms":400}"#).unwrap()
             });
             await_counter(server, "serve.dequeued", 1);
-            // Queued behind a 400ms stall with a 50ms deadline: by the
-            // time a worker reaches it, it is already stale.
+            // Queued behind a 400ms stall with a 50ms deadline: it goes
+            // stale long before a planner permit frees up.
             let mut client = Client::connect(addr).unwrap();
             let line = client
                 .request(&format!(
@@ -331,7 +388,54 @@ fn an_expired_queueing_deadline_is_answered_with_a_deadline_error() {
             let v = json::parse(&line).unwrap();
             assert_eq!(v.get("error").and_then(Json::as_str), Some("deadline"), "{line}");
             assert_eq!(server.recorder().counter("serve.deadline"), 1);
+            // The waiter is answered at its deadline, not when the stall
+            // ahead of it ends.
+            let answered = stall_sent.elapsed();
+            assert!(answered < Duration::from_millis(400), "deadline answered after {answered:?}");
+            // A deadline past the clock's range is none: this request
+            // waits the stall out and is planned.
+            let line = client
+                .request(&format!(
+                    r#"{{"op":"plan","ratio":"{PCR}","demand":20,"deadline_ms":{}}}"#,
+                    u64::MAX
+                ))
+                .unwrap();
+            assert!(line.contains("\"tms\":27"), "{line}");
             occupant.join().unwrap();
+        });
+    });
+}
+
+#[test]
+fn queued_requests_are_answered_in_arrival_order() {
+    let config = ServeConfig { workers: 1, queue_depth: 4, ..test_config() };
+    with_server(config, |server, addr| {
+        std::thread::scope(|s| {
+            let stall = |ms: u64| {
+                s.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    let line = client.request(&format!(r#"{{"op":"stall","ms":{ms}}}"#)).unwrap();
+                    assert!(line.contains("stalled"), "{line}");
+                    Instant::now()
+                })
+            };
+            let occupant = stall(200);
+            await_counter(server, "serve.dequeued", 1);
+            // Two waiters: a short stall first, then a long one. Served in
+            // arrival order, the short one is answered long before the
+            // long one ends; served the other way round, it would be
+            // answered only after it.
+            let first = stall(0);
+            await_counter(server, "serve.enqueued", 2);
+            let second = stall(300);
+            await_counter(server, "serve.enqueued", 3);
+            occupant.join().unwrap();
+            let (first, second) = (first.join().unwrap(), second.join().unwrap());
+            assert!(
+                first + Duration::from_millis(150) < second,
+                "the first waiter was answered {:?} before the second",
+                second.saturating_duration_since(first)
+            );
         });
     });
 }
@@ -406,6 +510,34 @@ fn hits_are_answered_inline_and_misses_are_queued_once() {
         assert_eq!(stat("dequeued"), Some(2), "{stats}");
         assert_eq!(stat("latency_count"), Some(3), "hits enter serve.latency: {stats}");
         assert_eq!(server.cache().stats().len, 2);
+    });
+}
+
+#[test]
+fn pipelined_misses_on_one_connection_are_answered_in_request_order() {
+    with_server(test_config(), |server, addr| {
+        let lines: Vec<String> = (1..=50)
+            .map(|demand| format!(r#"{{"op":"plan","ratio":"{PCR}","demand":{demand}}}"#))
+            .collect();
+        let stream = TcpStream::connect(addr).unwrap();
+        let batch: String = lines.iter().map(|line| format!("{line}\n")).collect();
+        (&stream).write_all(batch.as_bytes()).unwrap();
+        let mut reader = BufReader::new(&stream);
+        let replies: Vec<String> = lines
+            .iter()
+            .map(|_| {
+                let mut reply = String::new();
+                reader.read_line(&mut reply).unwrap();
+                reply.trim_end().to_owned()
+            })
+            .collect();
+        assert_eq!(server.recorder().counter("serve.enqueued"), 50, "every line was a miss");
+        let mut fresh = Client::connect(addr).unwrap();
+        for (demand, (line, reply)) in (1..).zip(lines.iter().zip(&replies)) {
+            let v = json::parse(reply).unwrap();
+            assert_eq!(v.get("demand").and_then(Json::as_u64), Some(demand), "{reply}");
+            assert_eq!(&fresh.request(line).unwrap(), reply, "demand {demand}");
+        }
     });
 }
 

@@ -232,7 +232,9 @@ fn usage() -> ExitCode {
          writes flamegraph.pl folded stacks, --chrome a Chrome/Perfetto trace\n\
          serve flags: [--addr HOST:PORT | --port P] [--workers N] \
          [--queue-depth N] [--cache-capacity N] [--cache-shards N] \
-         [--deadline-ms MS] [--slow-ms MS]\n\
+         [--deadline-ms MS] [--slow-ms MS]; --workers caps the plans in \
+         flight at once, --queue-depth the requests waiting for one (a \
+         further miss is answered busy)\n\
          request flags: --connect HOST:PORT [--op plan|stats|ping|shutdown] \
          [--deadline-ms MS] [--trace] plus the plan flags above"
     );
