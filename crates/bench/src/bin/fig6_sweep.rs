@@ -1,11 +1,12 @@
 //! Fig. 6 — average completion time `Tc` and input requirement `I` versus
 //! demand `D` over the synthetic corpus.
 //!
-//! The scheme set is built from the mixing-algorithm registry: every
-//! registered algorithm is swept as a repeated baseline and as an
-//! MMS-scheduled streaming scheme, so a newly registered algorithm joins
-//! the sweep without any change to this binary. (The paper's Fig. 6 plots
-//! the RMM, RMTCS, MM+MMS and MTCS+MMS subset of these curves.)
+//! The scheme set is built from the paper's four baselines
+//! ([`dmf_mixalgo::AlgorithmId::BASELINES`]): each is swept as a repeated
+//! baseline and as an MMS-scheduled streaming scheme. The dilution-only
+//! algorithms stay out, since they fail every ratio with more than two
+//! fluids. (The paper's Fig. 6 plots the RMM, RMTCS, MM+MMS and MTCS+MMS
+//! subset of these curves.)
 //!
 //! Pass a corpus size as the first argument (default 600 sampled ratios;
 //! pass `full` for the entire 6066-ratio corpus). Set `DMF_OBS=1` to dump
@@ -16,7 +17,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmf_bench::{export_obs, obs_from_env, run_schemes_batch, Scheme};
 use dmf_engine::PlanCache;
-use dmf_mixalgo::MixingAlgorithmRegistry;
+use dmf_mixalgo::AlgorithmId;
 use dmf_obs::Table;
 use dmf_sched::SchedulerKind;
 use dmf_workloads::synthetic;
@@ -34,9 +35,9 @@ fn main() {
         corpus.len()
     );
     let mut schemes = Vec::new();
-    for entry in MixingAlgorithmRegistry::entries() {
-        schemes.push(Scheme::Repeated(entry.id));
-        schemes.push(Scheme::Streaming(entry.id, SchedulerKind::Mms));
+    for algorithm in AlgorithmId::BASELINES {
+        schemes.push(Scheme::Repeated(algorithm));
+        schemes.push(Scheme::Streaming(algorithm, SchedulerKind::Mms));
     }
     let mut headers = vec!["D".to_owned()];
     headers.extend(schemes.iter().map(|s| format!("Tc {}", s.name())));

@@ -23,7 +23,7 @@ fn main() {
     for protocol in protocols::table2_examples() {
         print!("{:<6}", protocol.id);
         for algorithm in AlgorithmId::BASELINES {
-            match algorithm.algorithm().build_graph(&protocol.ratio) {
+            match algorithm.build_graph(&protocol.ratio) {
                 Ok(graph) => print!(" {:>7.4}", graph.split_error_margin(1e-4)),
                 Err(_) => print!(" {:>8}", "-"),
             }

@@ -3,7 +3,7 @@
 // Binary/example target: the workspace `unwrap_used`/`expect_used`/`panic`
 // deny wall applies to library code only (see Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-use dmf_mixalgo::{AlgorithmId, Capabilities};
+use dmf_mixalgo::{AlgorithmId, Capabilities, MixingAlgorithm};
 
 fn cell(b: bool) -> &'static str {
     if b {
@@ -33,7 +33,7 @@ fn main() {
         "Algorithm", "SDST2", "SDST+", "MDST2", "MDST+", "SDMT2", "SDMT+"
     );
     for algorithm in AlgorithmId::BASELINES {
-        print_row(algorithm.label(), algorithm.algorithm().capabilities());
+        print_row(algorithm.label(), algorithm.capabilities());
     }
     print_row("Proposed", Capabilities::PROPOSED);
     println!("\n(2 = dilution N=2, + = mixing N>2; 'Proposed' is the streaming engine)");

@@ -2,10 +2,8 @@
 //! and of SRS over MMS, across the synthetic corpus (L = 32, N = 2..=12,
 //! D = 32).
 //!
-//! The algorithm columns come from the mixing-algorithm registry
-//! ([`dmf_bench::sdst_baselines`]): every registered SDST-only algorithm
-//! gets a column, so a newly registered baseline appears here without any
-//! change to this binary.
+//! The algorithm columns are [`dmf_bench::sdst_baselines`]: every
+//! algorithm with the paper's SDST-only capability row gets a column.
 //!
 //! Pass a corpus size as the first argument to subsample (default: the
 //! full 6066-ratio corpus; use e.g. `500` for a quick run). Set `DMF_OBS=1`

@@ -25,15 +25,15 @@ pub mod micro;
 
 use dmf_chip::CostMatrix;
 use dmf_engine::{EngineConfig, MixerBudget, PassPlan, StreamPlan, StreamingEngine};
-use dmf_mixalgo::{AlgorithmId, Capabilities, MixingAlgorithmRegistry};
+use dmf_mixalgo::{AlgorithmId, Capabilities, MixingAlgorithm};
 use dmf_mixgraph::{NodeId, Operand};
 use dmf_ratio::TargetRatio;
 use dmf_sched::SchedulerKind;
 
 /// The nine evaluation schemes of Table 2, in column order A–I.
 ///
-/// Schemes carry an [`AlgorithmId`], so any registered algorithm can drive
-/// an exhibit.
+/// Schemes carry an [`AlgorithmId`], so any algorithm can drive an
+/// exhibit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheme {
     /// Repeated base-tree passes (the paper's RMM / RRMA / RMTCS).
@@ -43,24 +43,18 @@ pub enum Scheme {
     Streaming(AlgorithmId, SchedulerKind),
 }
 
-/// The algorithms a Table 2 / Table 3 comparison sweeps: every registered
-/// algorithm with the paper's SDST-only capability row — the MM/RMA/MTCS
-/// baselines plus anything registered later with the same row. RSM (whose
-/// capability row differs) and streaming-native algorithms stay out, as in
-/// the paper.
+/// The algorithms a Table 2 / Table 3 comparison sweeps: every algorithm
+/// with the paper's SDST-only capability row — the MM/RMA/MTCS baselines.
+/// RSM and the dilution-only BitScan/DMRW (whose capability rows differ)
+/// stay out, as in the paper.
 pub fn sdst_baselines() -> Vec<AlgorithmId> {
-    MixingAlgorithmRegistry::entries()
-        .into_iter()
-        .filter(|e| e.id.algorithm().capabilities() == Capabilities::SDST_ONLY)
-        .map(|e| e.id)
-        .collect()
+    AlgorithmId::ALL.into_iter().filter(|id| id.capabilities() == Capabilities::SDST_ONLY).collect()
 }
 
 impl Scheme {
     /// Table 2's column order: A=RMM, B=MM+MMS, C=MM+SRS, D=RRMA,
     /// E=RMA+MMS, F=RMA+SRS, G=RMTCS, H=MTCS+MMS, I=MTCS+SRS — built by
-    /// sweeping [`sdst_baselines`] against both schedulers, so registering
-    /// a new SDST algorithm grows the table.
+    /// sweeping [`sdst_baselines`] against both schedulers.
     pub fn table2_columns() -> Vec<Scheme> {
         let mut columns = Vec::new();
         for algorithm in sdst_baselines() {
@@ -378,7 +372,7 @@ mod tests {
         // Table 2 column A: every L = 256 example costs 16 passes x 8
         // cycles = 128 under RMM.
         for protocol in protocols::table2_examples() {
-            let r = run_scheme(Scheme::Repeated(AlgorithmId::MINMIX), &protocol.ratio, 32).unwrap();
+            let r = run_scheme(Scheme::Repeated(AlgorithmId::MinMix), &protocol.ratio, 32).unwrap();
             assert_eq!(r.cycles, 128, "{}", protocol.id);
         }
     }

@@ -45,16 +45,16 @@ impl PlanRequest {
         self
     }
 
-    /// This request planned with the named mixing algorithm, resolved
-    /// against the [`dmf_mixalgo::MixingAlgorithmRegistry`] (keys, labels
-    /// and aliases, case-insensitive).
+    /// This request planned with the named mixing algorithm, resolved by
+    /// [`dmf_mixalgo::AlgorithmId::resolve`] (keys, labels and aliases,
+    /// case-insensitive).
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::UnknownAlgorithm`] (listing the registered
-    /// keys) when `name` does not resolve.
+    /// Returns [`EngineError::UnknownAlgorithm`] (listing every key) when
+    /// `name` does not resolve.
     pub fn with_algorithm(mut self, name: &str) -> Result<Self, EngineError> {
-        self.config.algorithm = dmf_mixalgo::MixingAlgorithmRegistry::resolve(name)?;
+        self.config.algorithm = dmf_mixalgo::AlgorithmId::resolve(name)?;
         Ok(self)
     }
 }

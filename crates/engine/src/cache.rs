@@ -411,7 +411,7 @@ mod tests {
         use dmf_mixalgo::AlgorithmId;
         use dmf_sched::SchedulerKind;
         let default = EngineConfig::default();
-        let rma = default.with_algorithm(AlgorithmId::RMA);
+        let rma = default.with_algorithm(AlgorithmId::Rma);
         for (config, expected) in [
             (default, 0x6027_73dc_cefb_0836_u64),
             (default.with_scheduler(SchedulerKind::Mms), 0x84c3_f56a_c3d7_68a5),

@@ -1,5 +1,5 @@
 use crate::{EngineError, StreamPlan};
-use dmf_mixalgo::AlgorithmId;
+use dmf_mixalgo::{AlgorithmId, MixingAlgorithm};
 use dmf_ratio::TargetRatio;
 use dmf_sched::{repeated_baseline, RepeatedBaseline};
 use std::fmt;
@@ -21,7 +21,7 @@ use std::fmt;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9])?;
-/// let rmm = repeated(AlgorithmId::MINMIX, &target, 20, 3)?;
+/// let rmm = repeated(AlgorithmId::MinMix, &target, 20, 3)?;
 /// assert_eq!(rmm.passes, 10);
 /// # Ok(())
 /// # }
@@ -32,7 +32,7 @@ pub fn repeated(
     demand: u64,
     mixers: usize,
 ) -> Result<RepeatedBaseline, EngineError> {
-    let tree = algorithm.algorithm().build_graph(target)?;
+    let tree = algorithm.build_graph(target)?;
     Ok(repeated_baseline(&tree, demand, mixers)?)
 }
 
@@ -80,7 +80,7 @@ mod tests {
     fn streaming_beats_repeated_mm_on_pcr() {
         let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).unwrap();
         let plan = StreamingEngine::new(EngineConfig::default()).plan(&target, 32).unwrap();
-        let baseline = repeated(AlgorithmId::MINMIX, &target, 32, plan.mixers).unwrap();
+        let baseline = repeated(AlgorithmId::MinMix, &target, 32, plan.mixers).unwrap();
         let imp = improvement_over_baseline(&plan, &baseline);
         // The paper reports ~72% time and ~75% reactant savings on average;
         // on the PCR mix the shape must clearly hold.
@@ -96,8 +96,8 @@ mod tests {
         // Ex.4 forces RMA's halving to fragment components, so RRMA spends
         // strictly more reactant than RMM (on the d=4 PCR mix they tie).
         let target = TargetRatio::new(vec![9, 17, 26, 9, 195]).unwrap();
-        let rmm = repeated(AlgorithmId::MINMIX, &target, 32, 3).unwrap();
-        let rrma = repeated(AlgorithmId::RMA, &target, 32, 3).unwrap();
+        let rmm = repeated(AlgorithmId::MinMix, &target, 32, 3).unwrap();
+        let rrma = repeated(AlgorithmId::Rma, &target, 32, 3).unwrap();
         assert!(rrma.total_inputs > rmm.total_inputs);
     }
 }

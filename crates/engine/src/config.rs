@@ -19,9 +19,9 @@ pub enum MixerBudget {
 /// trees, SRS scheduling, `Mlb` mixers, paper-faithful across-tree droplet
 /// reuse and no storage budget.
 ///
-/// The algorithm is a registry id ([`dmf_mixalgo::AlgorithmId`]), so any
-/// registered algorithm — not just the four paper baselines — can drive
-/// the engine. The scheduler is one of the paper's two
+/// The algorithm is one of the closed set [`dmf_mixalgo::AlgorithmId`]:
+/// the four paper baselines, or BitScan/DMRW for two-fluid (dilution)
+/// targets. The scheduler is one of the paper's two
 /// ([`dmf_sched::SchedulerKind`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EngineConfig {
@@ -41,7 +41,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            algorithm: AlgorithmId::MINMIX,
+            algorithm: AlgorithmId::MinMix,
             scheduler: SchedulerKind::Srs,
             mixers: MixerBudget::MmLowerBound,
             storage_limit: None,
@@ -83,7 +83,7 @@ mod tests {
     #[test]
     fn default_matches_paper_headline() {
         let c = EngineConfig::default();
-        assert_eq!(c.algorithm, AlgorithmId::MINMIX);
+        assert_eq!(c.algorithm, AlgorithmId::MinMix);
         assert_eq!(c.scheduler, SchedulerKind::Srs);
         assert_eq!(c.mixers, MixerBudget::MmLowerBound);
         assert_eq!(c.storage_limit, None);
@@ -94,18 +94,18 @@ mod tests {
         let c = EngineConfig::default()
             .with_mixers(5)
             .with_storage_limit(3)
-            .with_algorithm(AlgorithmId::RMA)
+            .with_algorithm(AlgorithmId::Rma)
             .with_scheduler(SchedulerKind::Mms);
         assert_eq!(c.mixers, MixerBudget::Fixed(5));
         assert_eq!(c.storage_limit, Some(3));
-        assert_eq!(c.algorithm, AlgorithmId::RMA);
+        assert_eq!(c.algorithm, AlgorithmId::Rma);
         assert_eq!(c.scheduler, SchedulerKind::Mms);
     }
 
     #[test]
-    fn registry_ids_slot_in_directly() {
-        let c = EngineConfig::default().with_algorithm(AlgorithmId::MTCS);
-        assert_eq!(c.algorithm, AlgorithmId::MTCS);
+    fn algorithm_ids_slot_in_directly() {
+        let c = EngineConfig::default().with_algorithm(AlgorithmId::Mtcs);
+        assert_eq!(c.algorithm, AlgorithmId::Mtcs);
         assert_eq!(c.algorithm.key(), "mtcs");
     }
 }

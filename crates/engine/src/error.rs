@@ -33,12 +33,22 @@ pub enum EngineError {
         /// Storage cells on the chip.
         available: usize,
     },
-    /// An algorithm name did not resolve against the
-    /// [`dmf_mixalgo::MixingAlgorithmRegistry`].
+    /// A request exceeds one of the engine's resource bounds
+    /// ([`crate::MAX_DEMAND`], [`crate::MAX_MIXERS`]) and is rejected
+    /// before any planning memory is allocated.
+    LimitExceeded {
+        /// What was bounded (`"demand"`, `"mixer budget"`).
+        what: &'static str,
+        /// The requested amount.
+        requested: u64,
+        /// The largest accepted amount.
+        limit: u64,
+    },
+    /// An algorithm name matched no [`dmf_mixalgo::AlgorithmId`].
     UnknownAlgorithm {
         /// The name that failed to resolve.
         name: String,
-        /// The registry keys at the time of the lookup.
+        /// Every algorithm key, in [`dmf_mixalgo::AlgorithmId::ALL`] order.
         known: Vec<&'static str>,
     },
     /// Base-tree construction failed.
@@ -78,6 +88,9 @@ impl fmt::Display for EngineError {
             }
             EngineError::StorageExhausted { available } => {
                 write!(f, "chip has only {available} storage cells")
+            }
+            EngineError::LimitExceeded { what, requested, limit } => {
+                write!(f, "{what} {requested} exceeds the limit of {limit}")
             }
             EngineError::UnknownAlgorithm { name, known } => {
                 write!(f, "unknown mixing algorithm {:?} (registered: {})", name, known.join(", "))

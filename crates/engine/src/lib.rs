@@ -57,7 +57,7 @@ pub use check::static_check;
 pub use compare::{improvement_over_baseline, repeated, Improvement};
 pub use config::{EngineConfig, MixerBudget};
 pub use error::EngineError;
-pub use pipeline::PlanContext;
-pub use plan::{PassPlan, StreamPlan, StreamingEngine};
+pub use pipeline::{PlanContext, MAX_MIXERS};
+pub use plan::{PassPlan, StreamPlan, StreamingEngine, MAX_DEMAND};
 pub use realize::realize_pass;
 pub use recovery::{RecoveryPlan, RecoveryPolicy};

@@ -45,13 +45,26 @@ pub struct PlanContext<'a> {
     passes: Vec<PassPlan>,
 }
 
+/// The largest fixed mixer budget the engine plans for. The schedulers
+/// allocate per mixer up front, so an unchecked budget from one request
+/// line could exhaust memory; the paper's exhibits use at most 7 mixers.
+pub const MAX_MIXERS: usize = 1024;
+
 /// Resolves the mixer budget for `target` under `config` (the `Mlb` of its
 /// MinMix tree for [`MixerBudget::MmLowerBound`]).
+///
+/// A fixed budget above [`MAX_MIXERS`] is rejected as
+/// [`EngineError::LimitExceeded`].
 pub(crate) fn resolve_mixers(
     config: &EngineConfig,
     target: &TargetRatio,
 ) -> Result<usize, EngineError> {
     match config.mixers {
+        MixerBudget::Fixed(m) if m > MAX_MIXERS => Err(EngineError::LimitExceeded {
+            what: "mixer budget",
+            requested: m as u64,
+            limit: MAX_MIXERS as u64,
+        }),
         MixerBudget::Fixed(m) => Ok(m),
         MixerBudget::MmLowerBound => {
             let mm = MinMix.build_graph(target)?;
@@ -128,8 +141,7 @@ impl<'a> PlanContext<'a> {
         step("stage_build_tree", || {
             if self.template.is_none() {
                 let _span = dmf_obs::span!("mixalgo_build");
-                self.template =
-                    Some(self.config.algorithm.algorithm().build_template(self.target)?);
+                self.template = Some(self.config.algorithm.build_template(self.target)?);
             }
             if self.mixers.is_none() {
                 self.mixers = Some(resolve_mixers(&self.config, self.target)?);
@@ -150,7 +162,7 @@ impl<'a> PlanContext<'a> {
             // Subgraph-sharing base algorithms (MTCS, RSM) reuse droplets
             // even within one tree; their forests must too, or the engine
             // would lose the sharing the repeated baseline enjoys.
-            let reuse = if self.config.algorithm.algorithm().shares_subgraphs() {
+            let reuse = if self.config.algorithm.shares_subgraphs() {
                 dmf_forest::ReusePolicy::Eager
             } else {
                 self.config.reuse

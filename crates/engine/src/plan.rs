@@ -148,6 +148,8 @@ impl StreamingEngine {
     /// # Errors
     ///
     /// Returns [`EngineError::ZeroDemand`] for `demand == 0`,
+    /// [`EngineError::LimitExceeded`] for a demand above [`MAX_DEMAND`] or
+    /// a fixed mixer budget above [`crate::MAX_MIXERS`],
     /// [`EngineError::Infeasible`] when the mixability pre-pass
     /// ([`dmf_check::check_feasibility`]) rejects the request,
     /// [`EngineError::StorageInfeasible`] when even a demand-2 pass exceeds
@@ -202,7 +204,8 @@ impl StreamingEngine {
     ///
     /// # Errors
     ///
-    /// [`EngineError::ZeroDemand`] or [`EngineError::Infeasible`].
+    /// [`EngineError::ZeroDemand`], [`EngineError::LimitExceeded`] for a
+    /// demand above [`MAX_DEMAND`], or [`EngineError::Infeasible`].
     pub fn preflight(target: &TargetRatio, demand: u64) -> Result<(), EngineError> {
         preflight(target, demand)
     }
@@ -218,13 +221,26 @@ impl StreamingEngine {
     }
 }
 
+/// The largest demand the engine plans for (2^20 droplets). A plan's
+/// forest grows by about 110 bytes per droplet, so this bounds one plan
+/// near 120 MB; the paper's exhibits ask for at most 32 droplets.
+pub const MAX_DEMAND: u64 = 1 << 20;
+
 /// The feasibility gate run before any planning work: zero demand keeps
-/// its historical typed error, then the dmf-check mixability pre-pass
-/// rejects CF vectors unreachable under the (1:1)-mix algebra. Infeasible
-/// requests never reach the planner — or the plan cache.
+/// its historical typed error and a demand above [`MAX_DEMAND`] is
+/// rejected, then the dmf-check mixability pre-pass rejects CF vectors
+/// unreachable under the (1:1)-mix algebra. Infeasible requests never
+/// reach the planner — or the plan cache.
 fn preflight(target: &TargetRatio, demand: u64) -> Result<(), EngineError> {
     if demand == 0 {
         return Err(EngineError::ZeroDemand);
+    }
+    if demand > MAX_DEMAND {
+        return Err(EngineError::LimitExceeded {
+            what: "demand",
+            requested: demand,
+            limit: MAX_DEMAND,
+        });
     }
     dmf_check::assert_feasible(target.parts(), demand)
         .map_err(|e| EngineError::Infeasible { rule: e.rule, what: e.message })

@@ -1,25 +1,21 @@
-//! Registry-dispatch guarantees of the pluggable pipeline:
+//! Dispatch guarantees of the algorithm and scheduler handles:
 //!
 //! * every (algorithm, scheduler) pair plans the paper's five Table 2
 //!   protocols byte-identically whether the config is built from the
-//!   constant handles (`AlgorithmId::MINMIX`, `SchedulerKind::Srs`, …) or
+//!   constant handles (`AlgorithmId::MinMix`, `SchedulerKind::Srs`, …) or
 //!   from handles resolved by wire key;
 //! * each planner step emits one span per run under its stable name,
 //!   correctly parented (every `stage_build_forest` and `stage_schedule`
 //!   nests under the single `stage_split_passes`), and bumps the counter
 //!   of the same name;
-//! * a brand-new algorithm registered from the outside — no edits to the
-//!   engine — reaches
-//!   `PlanRequest::with_algorithm` and `plan_batch`.
+//! * a name resolved by `PlanRequest::with_algorithm` reaches
+//!   `plan_batch`, and an unknown name fails typed with every key.
 
 // Test target: the workspace `unwrap_used`/`expect_used`/`panic` deny wall
 // applies to library code only (see Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmf_engine::{plan_batch, BatchOptions, EngineConfig, PlanRequest, StreamingEngine};
-use dmf_mixalgo::{
-    AlgorithmEntry, AlgorithmId, Capabilities, MinMix, MixAlgoError, MixingAlgorithm,
-    MixingAlgorithmRegistry, Template,
-};
+use dmf_mixalgo::AlgorithmId;
 use dmf_ratio::TargetRatio;
 use dmf_sched::SchedulerKind;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -72,7 +68,7 @@ fn resolved_handles_plan_byte_identically_to_constant_handles() {
                 EngineConfig::default().with_algorithm(algorithm).with_scheduler(scheduler);
             let (algo_key, sched_key) = (algorithm.key(), scheduler.key());
             let via_keys = EngineConfig::default()
-                .with_algorithm(MixingAlgorithmRegistry::resolve(algo_key).unwrap())
+                .with_algorithm(AlgorithmId::resolve(algo_key).unwrap())
                 .with_scheduler(SchedulerKind::resolve(sched_key).unwrap());
             assert_eq!(via_constants, via_keys);
             for ratio in table2_ratios() {
@@ -158,57 +154,27 @@ fn per_stage_counters_track_runs() {
     assert_eq!(runs(EngineConfig::default().with_storage_limit(3)), [1, 11, 11, 1]);
 }
 
-/// A test-only algorithm that wraps MinMix under a new name — the
-/// "register an algorithm without touching the engine" walkthrough of
-/// DESIGN.md §17, exercised end to end.
-struct MirrorMix;
-
-impl MixingAlgorithm for MirrorMix {
-    fn name(&self) -> &'static str {
-        "MIRROR"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::SDST_ONLY
-    }
-
-    fn build_template(&self, target: &TargetRatio) -> Result<Template, MixAlgoError> {
-        MinMix.build_template(target)
-    }
-}
-
 #[test]
-fn an_outside_algorithm_reaches_the_engine_through_the_registry() {
+fn a_named_algorithm_reaches_plan_batch_through_with_algorithm() {
     let _guard = exclusive();
-    static MIRROR: MirrorMix = MirrorMix;
-    MixingAlgorithmRegistry::register(AlgorithmEntry {
-        id: AlgorithmId::new("mirror", "MIRROR", &MIRROR),
-        description: "test-only MinMix mirror",
-        aliases: &["looking-glass"],
-    })
-    .unwrap();
-
-    // Resolvable by key and alias; listed alongside the seeded baselines.
-    let id = MixingAlgorithmRegistry::resolve("looking-glass").unwrap();
-    assert_eq!(id.key(), "mirror");
-    assert!(MixingAlgorithmRegistry::entries().iter().any(|e| e.id.key() == "mirror"));
-
-    // Reaches plan_batch through PlanRequest::with_algorithm, and plans
-    // byte-identically to the MinMix it mirrors.
+    // A name resolved by PlanRequest::with_algorithm reaches plan_batch,
+    // and plans byte-identically to the constant handle.
     let target = TargetRatio::new(vec![26, 21, 2, 2, 3, 3, 199]).unwrap();
-    let request = PlanRequest::new(target.clone(), 32).with_algorithm("mirror").unwrap();
-    assert_eq!(request.config.algorithm.key(), "mirror");
+    let request = PlanRequest::new(target.clone(), 32).with_algorithm("RMA").unwrap();
+    assert_eq!(request.config.algorithm, AlgorithmId::Rma);
     let plans = plan_batch(&[request], &BatchOptions::new());
-    let mirrored = plans.into_iter().next().unwrap().unwrap();
-    let minmix = StreamingEngine::new(EngineConfig::default()).plan(&target, 32).unwrap();
-    assert_eq!(render(&mirrored), render(&minmix));
+    let batched = plans.into_iter().next().unwrap().unwrap();
+    let direct = StreamingEngine::new(EngineConfig::default().with_algorithm(AlgorithmId::Rma))
+        .plan(&target, 32)
+        .unwrap();
+    assert_eq!(render(&batched), render(&direct));
 
-    // Unknown names keep failing typed, now listing the newcomer too.
+    // Unknown names fail typed, listing every key.
     let err = PlanRequest::new(target, 32).with_algorithm("nonesuch").unwrap_err();
     match err {
         dmf_engine::EngineError::UnknownAlgorithm { name, known } => {
             assert_eq!(name, "nonesuch");
-            assert!(known.contains(&"mirror") && known.contains(&"mm"));
+            assert_eq!(known, ["mm", "rma", "mtcs", "rsm", "bitscan", "dmrw"]);
         }
         other => panic!("expected UnknownAlgorithm, got {other:?}"),
     }

@@ -72,7 +72,7 @@ pub fn build_multi_target_forest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmf_mixalgo::{MinMix, MixingAlgorithm};
+    use dmf_mixalgo::{dilution_ratio, MinMix, MixingAlgorithm};
 
     fn pair(parts: Vec<u64>) -> (Template, TargetRatio) {
         let target = TargetRatio::new(parts).unwrap();
@@ -122,6 +122,62 @@ mod tests {
         for (i, (_, target)) in pairs.iter().enumerate() {
             let root = forest.roots()[i];
             assert_eq!(forest.mixture(root), &target.to_mixture());
+        }
+    }
+
+    /// A dilution gradient: one droplet pair per CF `k / 2^d`, MinMix
+    /// trees sharing waste through one eager pool. Returns the forest and
+    /// the inputs of preparing every CF separately.
+    fn gradient(cfs: &[u64], d: u32) -> Result<(MixGraph, u64), Box<dyn std::error::Error>> {
+        let mut pairs = Vec::new();
+        for &k in cfs {
+            let target = dilution_ratio(k, d)?;
+            pairs.push((MinMix.build_template(&target)?, target));
+        }
+        let separate = pairs.iter().map(|(t, _)| t.leaf_counts().iter().sum::<u64>()).sum();
+        Ok((build_multi_target_forest(&pairs, ReusePolicy::Eager)?, separate))
+    }
+
+    #[test]
+    fn gradient_shares_across_targets() {
+        let (graph, separate) = gradient(&[3, 5, 7, 9, 11, 13], 4).unwrap();
+        graph.validate().unwrap();
+        assert_eq!(graph.tree_count(), 6);
+        let stats = graph.stats();
+        assert!(stats.input_total < separate, "{} vs {separate}", stats.input_total);
+        assert_eq!(stats.input_total, 2 * 6 + stats.waste as u64);
+    }
+
+    #[test]
+    fn single_cf_gradient_equals_plain_tree() {
+        let (graph, separate) = gradient(&[5], 4).unwrap();
+        assert_eq!(graph.tree_count(), 1);
+        assert_eq!(graph.stats().input_total, separate);
+    }
+
+    #[test]
+    fn duplicate_cfs_reuse_heavily() {
+        let (twice, _) = gradient(&[5, 5], 4).unwrap();
+        let (once, _) = gradient(&[5], 4).unwrap();
+        // The second copy rebuilds from the first one's waste droplets.
+        assert!(twice.stats().input_total < 2 * once.stats().input_total);
+    }
+
+    #[test]
+    fn gradients_reject_empty_and_invalid_cfs() {
+        assert!(gradient(&[], 4).is_err());
+        assert!(gradient(&[0], 4).is_err());
+        assert!(gradient(&[99], 4).is_err());
+    }
+
+    #[test]
+    fn gradient_targets_are_individually_correct() {
+        let ks = [1u64, 6, 10, 15];
+        let (graph, _) = gradient(&ks, 4).unwrap();
+        for (i, &k) in ks.iter().enumerate() {
+            let root = graph.roots()[i];
+            let reduced = dilution_ratio(k, 4).unwrap().reduced();
+            assert_eq!(graph.mixture(root).parts(), reduced.parts());
         }
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! The DAC 2014 streaming engine is algorithm-agnostic: any procedure that
 //! turns a [`TargetRatio`] into a *base mixing tree* can seed its mixing
-//! forest. This crate provides the four algorithms the paper builds on:
+//! forest. This crate provides the four algorithms the paper builds on,
+//! plus two constructions for the two-fluid (dilution) case:
 //!
 //! * [`MinMix`] (`MM`, Thies et al. 2008) — binary-expansion tree; each set
 //!   bit `2^j` of component `a_i` becomes a leaf at depth `d - j`, merged
@@ -15,10 +16,24 @@
 //!   droplet feeds the second parent, turning the tree into a DAG.
 //! * [`Rsm`] (Hsieh et al. TCAD 2012) — reagent-saving mixing: common-
 //!   subgraph sharing applied to the top-down partition tree.
+//! * [`BitScan`] (Thies et al. 2008; Griffith et al. 2006) — the d-step
+//!   binary-scan dilution chain: start from pure buffer and fold in sample
+//!   or buffer per bit of the CF numerator, LSB first.
+//! * [`Dmrw`] (Roy et al. TCAD 2010) — dilution by binary search of the CF
+//!   interval; repeated boundary droplets are shared.
+//!
+//! [`AlgorithmId`] names each of the six: the one `Copy` handle the engine,
+//! the CLI and the serve protocol select an algorithm by, resolved from
+//! its wire key (`"mm"`, …, `"bitscan"`, `"dmrw"`) and dispatched by a
+//! `match`. The dilution constructions reject targets with other than two
+//! active fluids ([`MixAlgoError::NotADilution`]); [`dilution_ratio`]
+//! builds their `k : 2^d - k` targets, and streaming one through the
+//! engine is the dilution engine of Roy et al. (IET-CDT 2013) as the
+//! `N = 2` case of MDST.
 //!
 //! `RMA`, `MTCS` and `RSM` have no public reference implementations; they are
 //! reimplemented here from their published descriptions (see `DESIGN.md` §5
-//! for the fidelity argument). All four satisfy the contract checked by
+//! for the fidelity argument). All six satisfy the contract checked by
 //! [`MixGraph::validate`]: leaves are pure reagents, the root realises the
 //! target, droplets are conserved.
 //!
@@ -56,26 +71,23 @@
 mod capabilities;
 mod dilution;
 mod error;
+mod id;
 mod minmix;
 mod mtcs;
 mod pool;
 mod rebuild;
-mod registry;
 mod rma;
 mod rsm;
 mod template;
 
 pub use capabilities::Capabilities;
-pub use dilution::dilution_ratio;
+pub use dilution::{dilution_ratio, BitScan, Dmrw};
 pub use error::MixAlgoError;
+pub use id::{AlgorithmId, UnknownAlgorithmError};
 pub use minmix::MinMix;
 pub use mtcs::Mtcs;
 pub use pool::WastePool;
 pub use rebuild::{materialize, rebuild_tree};
-pub use registry::{
-    AlgorithmEntry, AlgorithmId, DuplicateAlgorithmError, MixingAlgorithmRegistry,
-    UnknownAlgorithmError,
-};
 pub use rma::Rma;
 pub use rsm::Rsm;
 pub use template::Template;

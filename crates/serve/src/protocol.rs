@@ -116,11 +116,10 @@ impl ProtocolError {
         ProtocolError { code: "infeasible", message: message.into() }
     }
 
-    /// A well-formed request naming a mixing algorithm the
-    /// [`dmf_mixalgo::MixingAlgorithmRegistry`] does not know. Its own
-    /// code (rather than `bad_request`) so clients can tell a typo'd
-    /// algorithm from a malformed line — the message lists the
-    /// registered keys.
+    /// A well-formed request naming a mixing algorithm that no
+    /// [`dmf_mixalgo::AlgorithmId`] answers to. Its own code (rather than
+    /// `bad_request`) so clients can tell a typo'd algorithm from a
+    /// malformed line — the message lists every algorithm key.
     pub fn unknown_algo(message: impl Into<String>) -> Self {
         ProtocolError { code: "unknown_algo", message: message.into() }
     }
@@ -210,7 +209,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
                 None => member_str(&value, "algo")?,
             };
             if let Some(name) = algo_name {
-                let id = dmf_mixalgo::MixingAlgorithmRegistry::resolve(name)
+                let id = dmf_mixalgo::AlgorithmId::resolve(name)
                     .map_err(|e| ProtocolError::unknown_algo(e.to_string()))?;
                 config = config.with_algorithm(id);
             }
@@ -352,7 +351,7 @@ mod tests {
         .unwrap();
         let Request::Plan(spec) = r else { panic!("expected a plan request") };
         assert_eq!(spec.demand, 8);
-        assert_eq!(spec.config.algorithm, AlgorithmId::RMA);
+        assert_eq!(spec.config.algorithm, AlgorithmId::Rma);
         assert_eq!(spec.config.scheduler, SchedulerKind::Mms);
         assert_eq!(spec.config.mixers, MixerBudget::Fixed(3));
         assert_eq!(spec.config.storage_limit, Some(4));
@@ -412,12 +411,12 @@ mod tests {
         let err = parse_request(r#"{"op":"plan","ratio":"1:1","algorithm":"magic"}"#).unwrap_err();
         assert_eq!(err.code(), "unknown_algo");
         assert!(err.to_string().contains("mm"), "{err}");
-        // The short "algo" alias resolves through the same registry.
+        // The short "algo" alias resolves the same way.
         let err = parse_request(r#"{"op":"plan","ratio":"1:1","algo":"magic"}"#).unwrap_err();
         assert_eq!(err.code(), "unknown_algo");
         let r = parse_request(r#"{"op":"plan","ratio":"1:1","algo":"rma"}"#).unwrap();
         let Request::Plan(spec) = r else { panic!("expected a plan request") };
-        assert_eq!(spec.config.algorithm, AlgorithmId::RMA);
+        assert_eq!(spec.config.algorithm, AlgorithmId::Rma);
         // Unknown schedulers stay bad_request: the scheduler set is closed.
         let err = parse_request(r#"{"op":"plan","ratio":"1:1","scheduler":"fifo"}"#).unwrap_err();
         assert_eq!(err.code(), "bad_request");

@@ -308,7 +308,7 @@ impl Server {
                 // The rejection carries its own code: `infeasible` when
                 // the mixability pre-pass proved no plan exists (the
                 // request never takes a permit), `unknown_algo` for an
-                // algorithm name the registry does not know,
+                // algorithm name no `AlgorithmId` answers to,
                 // `bad_request` for malformed lines.
                 self.recorder.count(
                     match e.code() {
@@ -468,6 +468,12 @@ impl Server {
                 // authoritative.
                 self.recorder.count("serve.infeasible", 1);
                 protocol::error_response("infeasible", &e.to_string())
+            }
+            Err(e @ dmf_engine::EngineError::LimitExceeded { .. }) => {
+                // A demand or mixer budget past the engine's bounds is a
+                // bad request line, not a planner failure.
+                self.recorder.count("serve.bad_request", 1);
+                protocol::error_response("bad_request", &e.to_string())
             }
             Err(e) => {
                 self.recorder.count("serve.plan_failed", 1);

@@ -157,6 +157,65 @@ fn infeasible_requests_fail_fast_with_the_feasibility_rule() {
 }
 
 #[test]
+fn requests_past_the_engine_bounds_are_bad_requests_and_the_server_survives() {
+    with_server(test_config(), |server, addr| {
+        for (request, message) in [
+            (
+                format!(
+                    r#"{{"op":"plan","ratio":"{PCR}","demand":4,"mixers":100000000000000000}}"#
+                ),
+                "mixer budget 100000000000000000 exceeds the limit of 1024",
+            ),
+            (
+                format!(r#"{{"op":"plan","ratio":"{PCR}","demand":1000000000}}"#),
+                "demand 1000000000 exceeds the limit of 1048576",
+            ),
+        ] {
+            let mut client = Client::connect(addr).unwrap();
+            let line = client.request(&request).unwrap();
+            let v = json::parse(&line).unwrap();
+            assert_eq!(v.get("error").and_then(Json::as_str), Some("bad_request"), "{line}");
+            assert_eq!(v.get("message").and_then(Json::as_str), Some(message), "{line}");
+            // The server is still up: a fresh connection gets its pong.
+            let mut fresh = Client::connect(addr).unwrap();
+            assert_eq!(fresh.request(r#"{"op":"ping"}"#).unwrap(), r#"{"ok":true,"type":"pong"}"#);
+        }
+        let stats = Client::connect(addr).unwrap().request(r#"{"op":"stats"}"#).unwrap();
+        let v = json::parse(&stats).unwrap();
+        assert_eq!(v.get("bad_request").and_then(Json::as_u64), Some(2), "{stats}");
+        assert_eq!(v.get("plan_failed").and_then(Json::as_u64), Some(0), "{stats}");
+        assert_eq!(server.cache().stats().len, 0, "rejected requests never warm the cache");
+    });
+}
+
+#[test]
+fn dilution_algorithms_plan_two_fluid_targets_and_fail_typed_on_others() {
+    with_server(test_config(), |_, addr| {
+        let mut client = Client::connect(addr).unwrap();
+        // 16 droplets of CF 5/16 on 2 mixers: the BitScan stream.
+        let line = client
+            .request(r#"{"op":"plan","ratio":"5:11","demand":16,"algo":"bitscan","mixers":2}"#)
+            .unwrap();
+        let v = json::parse(&line).unwrap();
+        assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "{line}");
+        assert_eq!(v.get("tms").and_then(Json::as_u64), Some(15), "{line}");
+        assert_eq!(v.get("inputs").and_then(Json::as_u64), Some(16), "{line}");
+        assert_eq!(v.get("waste").and_then(Json::as_u64), Some(0), "{line}");
+        assert_eq!(v.get("tc").and_then(Json::as_u64), Some(8), "{line}");
+        // A seven-fluid ratio has no dilution tree: a typed planner
+        // failure, and the connection keeps serving.
+        let line = client
+            .request(&format!(r#"{{"op":"plan","ratio":"{PCR}","demand":4,"algo":"bitscan"}}"#))
+            .unwrap();
+        let v = json::parse(&line).unwrap();
+        assert_eq!(v.get("error").and_then(Json::as_str), Some("plan_failed"), "{line}");
+        let message = v.get("message").and_then(Json::as_str).unwrap_or_default();
+        assert!(message.contains("exactly two active fluids, got 7"), "{line}");
+        assert!(client.request(r#"{"op":"ping"}"#).unwrap().contains("pong"));
+    });
+}
+
+#[test]
 fn eight_concurrent_clients_get_byte_identical_summaries_for_equal_keys() {
     with_server(test_config(), |server, addr| {
         let responses = std::thread::scope(|s| {

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n{}", pass.schedule.gantt(&pass.forest));
 
     // The naive alternative: rerun the MinMix tree 10 times.
-    let baseline = repeated(AlgorithmId::MINMIX, &target, 20, plan.mixers)?;
+    let baseline = repeated(AlgorithmId::MinMix, &target, 20, plan.mixers)?;
     println!(
         "repeated-MM baseline: passes={} Tc={} W={} I={}",
         baseline.passes, baseline.total_cycles, baseline.total_waste, baseline.total_inputs

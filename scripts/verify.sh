@@ -39,6 +39,10 @@ echo "==> simulate golden (PCR at D=20, one pass and --storage 2 multi-pass, wit
 } > /tmp/dmf_simulate_pcr.txt
 diff results/simulate_pcr.txt /tmp/dmf_simulate_pcr.txt
 
+echo "==> dilution_engine golden (the two-fluid streams and the gradient, planned through the engine, must match results/dilution_engine.txt byte for byte)"
+cargo run --release -q --example dilution_engine > /tmp/dmf_dilution_engine.txt
+diff results/dilution_engine.txt /tmp/dmf_dilution_engine.txt
+
 echo "==> fault_sweep smoke (fixed seed, all five protocols must meet demand)"
 cargo run --release -q -p dmf-bench --bin fault_sweep -- --seed 42 --fault-rate 0.05 --trials 1 >/dev/null
 
@@ -94,7 +98,7 @@ set -e
   echo "registry gate: unknown --algo exited $unknown_code, expected 2"
   exit 1
 }
-printf '%s' "$unknown_out" | grep -q 'unknown mixing algorithm "nonesuch" (registered: mm, rma, mtcs, rsm)' || {
+printf '%s' "$unknown_out" | grep -q 'unknown mixing algorithm "nonesuch" (registered: mm, rma, mtcs, rsm, bitscan, dmrw)' || {
   echo "registry gate: unknown --algo error was not typed: $unknown_out"
   exit 1
 }

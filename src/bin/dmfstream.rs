@@ -51,7 +51,7 @@ use dmfstream::engine::{
     PlanRequest, RecoveryPolicy, StreamingEngine, DEFAULT_PLAN_CACHE_CAPACITY,
 };
 use dmfstream::fault::{run_campaign, Campaign, FaultConfig, WearTracker};
-use dmfstream::mixalgo::MixingAlgorithmRegistry;
+use dmfstream::mixalgo::AlgorithmId;
 use dmfstream::obs;
 use dmfstream::pins::BackendKind;
 use dmfstream::ratio::TargetRatio;
@@ -383,7 +383,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--algorithm" | "--algo" => {
                 let name = value()?;
-                let id = MixingAlgorithmRegistry::resolve(&name).map_err(|e| {
+                let id = AlgorithmId::resolve(&name).map_err(|e| {
                     format!("{e}; run `dmfstream plan --list-algorithms` for descriptions")
                 })?;
                 config = config.with_algorithm(id);
@@ -433,25 +433,19 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// Prints the registered mixing algorithms and/or schedulers, one per
+/// Prints the mixing algorithms and/or schedulers, one per
 /// line with its one-line description — the output behind
 /// `dmfstream plan --list-algorithms` / `--list-schedulers`.
 fn print_registries(algorithms: bool, schedulers: bool) {
     if algorithms {
         println!("mixing algorithms:");
-        for entry in MixingAlgorithmRegistry::entries() {
-            let aliases = if entry.aliases.is_empty() {
+        for id in AlgorithmId::ALL {
+            let aliases = if id.aliases().is_empty() {
                 String::new()
             } else {
-                format!(" (aliases: {})", entry.aliases.join(", "))
+                format!(" (aliases: {})", id.aliases().join(", "))
             };
-            println!(
-                "  {:<8} {:<6} {}{}",
-                entry.id.key(),
-                entry.id.label(),
-                entry.description,
-                aliases
-            );
+            println!("  {:<8} {:<6} {}{}", id.key(), id.label(), id.description(), aliases);
         }
     }
     if schedulers {

@@ -48,7 +48,7 @@ fn streaming_dominates_repeated_on_inputs_across_corpus_sample() {
         let engine = StreamingEngine::new(EngineConfig::default());
         let plan = engine.plan(&target, 32).expect("unconstrained plans succeed");
         let baseline =
-            repeated(AlgorithmId::MINMIX, &target, 32, plan.mixers).expect("baseline runs");
+            repeated(AlgorithmId::MinMix, &target, 32, plan.mixers).expect("baseline runs");
         assert!(plan.total_inputs <= baseline.total_inputs, "{target}");
         assert!(plan.total_cycles <= baseline.total_cycles, "{target}");
         assert!(plan.total_waste <= baseline.total_waste, "{target}");

@@ -6,8 +6,10 @@
 // applies to library code only (see Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmfstream::chip::presets::streaming_chip;
-use dmfstream::engine::{realize_pass, EngineConfig, StreamingEngine};
-use dmfstream::mixalgo::AlgorithmId;
+use dmfstream::engine::{
+    realize_pass, repeated, EngineConfig, EngineError, StreamPlan, StreamingEngine,
+};
+use dmfstream::mixalgo::{AlgorithmId, MixAlgoError};
 use dmfstream::sched::SchedulerKind;
 use dmfstream::sim::Simulator;
 use dmfstream::workloads::protocols;
@@ -107,4 +109,73 @@ fn dilution_is_a_special_case_of_the_engine() {
     assert!(plan.total_inputs < 16 * 4, "streaming reuses dilution waste");
     let targets = plan.total_inputs - plan.total_waste;
     assert!(targets >= 16);
+}
+
+/// A dilution stream through the engine: CF `k / 2^d`, `demand` droplets,
+/// `mixers` fixed mixers, seeded by `algorithm`.
+fn dilution_plan(
+    algorithm: AlgorithmId,
+    k: u64,
+    d: u32,
+    demand: u64,
+    mixers: usize,
+) -> Result<StreamPlan, Box<dyn std::error::Error>> {
+    let target = dmfstream::mixalgo::dilution_ratio(k, d)?;
+    let config = EngineConfig::default().with_algorithm(algorithm).with_mixers(mixers);
+    Ok(StreamingEngine::new(config).plan(&target, demand)?)
+}
+
+/// Target droplets a plan emits, counted from its forests.
+fn emitted(plan: &StreamPlan) -> u64 {
+    plan.passes.iter().map(|p| p.forest.stats().targets() as u64).sum()
+}
+
+#[test]
+fn dilution_streaming_beats_repetition_for_every_dilution_seed() {
+    for algorithm in [AlgorithmId::BitScan, AlgorithmId::Dmrw, AlgorithmId::MinMix] {
+        let plan = dilution_plan(algorithm, 5, 4, 16, 2).unwrap();
+        let target = dmfstream::mixalgo::dilution_ratio(5, 4).unwrap();
+        let baseline = repeated(algorithm, &target, 16, 2).unwrap();
+        assert!(emitted(&plan) >= 16);
+        assert!(
+            plan.total_inputs <= baseline.total_inputs,
+            "{algorithm:?}: {} vs {}",
+            plan.total_inputs,
+            baseline.total_inputs
+        );
+        assert!(plan.total_cycles <= baseline.total_cycles);
+    }
+}
+
+#[test]
+fn full_cycle_dilution_demand_is_waste_free() {
+    // d(reduced) = 4 for 5/16: demand 16 consumes every droplet.
+    let plan = dilution_plan(AlgorithmId::BitScan, 5, 4, 16, 2).unwrap();
+    assert_eq!(plan.total_waste, 0);
+    assert_eq!(plan.total_inputs, 16);
+}
+
+#[test]
+fn unmixable_dilution_cfs_are_rejected() {
+    for k in [0, 16, 17] {
+        assert!(dilution_plan(AlgorithmId::BitScan, k, 4, 8, 1).is_err(), "k = {k}");
+    }
+}
+
+#[test]
+fn dilution_streams_conserve_droplets() {
+    let plan = dilution_plan(AlgorithmId::Dmrw, 7, 5, 20, 3).unwrap();
+    assert_eq!(plan.total_inputs, emitted(&plan) + plan.total_waste);
+}
+
+#[test]
+fn dilution_algorithms_reject_mixtures_of_more_than_two_fluids() {
+    let pcr = dmfstream::ratio::TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).unwrap();
+    for algorithm in [AlgorithmId::BitScan, AlgorithmId::Dmrw] {
+        let engine = StreamingEngine::new(EngineConfig::default().with_algorithm(algorithm));
+        match engine.plan(&pcr, 4) {
+            Err(EngineError::Algo(MixAlgoError::NotADilution { active: 7 })) => {}
+            other => panic!("{algorithm:?}: expected NotADilution, got {other:?}"),
+        }
+    }
 }

@@ -16,7 +16,6 @@
 // applies to library code only (see Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use dmfstream::dilution::dilution_gradient;
 use dmfstream::forest::{build_forest, build_multi_target_forest, ReusePolicy};
 use dmfstream::mixalgo::{
     dilution_ratio, materialize, MinMix, MixingAlgorithm, Mtcs, Rma, Rsm, Template,
@@ -363,13 +362,13 @@ fn multi_target_forests_match_the_reference_builder() {
 fn dilution_gradients_match_the_reference_builder() {
     for (cfs, d) in [(vec![3, 5, 7, 9], 4), (vec![2, 4, 6, 8, 10, 12, 14], 4), (vec![1, 33, 17], 6)]
     {
-        let (graph, _) = dilution_gradient(&cfs, d).unwrap();
         let targets: Vec<TargetRatio> =
             cfs.iter().map(|&k| dilution_ratio(k, d).unwrap()).collect();
-        let templates: Vec<reference::Template> = targets
-            .iter()
-            .map(|t| reference_template(&MinMix.build_template(t).unwrap(), t))
-            .collect();
+        let pairs: Vec<(Template, TargetRatio)> =
+            targets.iter().map(|t| (MinMix.build_template(t).unwrap(), t.clone())).collect();
+        let graph = build_multi_target_forest(&pairs, ReusePolicy::Eager).unwrap();
+        let templates: Vec<reference::Template> =
+            pairs.iter().map(|(template, t)| reference_template(template, t)).collect();
         let refs: Vec<(&reference::Template, &TargetRatio)> =
             templates.iter().zip(&targets).collect();
         let expected = reference::forest(2, &refs, true);

@@ -48,14 +48,14 @@ fn base_trees_realise_the_target() {
     for _ in 0..64 {
         let target = random_target(&mut rng);
         for algorithm in AlgorithmId::BASELINES {
-            let graph = algorithm.algorithm().build_graph(&target).unwrap();
+            let graph = algorithm.build_graph(&target).unwrap();
             graph.validate().unwrap();
             let stats = graph.stats();
             stats.assert_conservation();
             // The depth-d guarantee is a property of the *tree* algorithms;
             // subgraph sharing (MTCS/RSM) may park a reused droplet at a
             // structurally deeper producer without changing its content.
-            if !algorithm.algorithm().shares_subgraphs() {
+            if !algorithm.shares_subgraphs() {
                 assert!(stats.depth <= target.accuracy(), "target {target:?}");
             }
         }
