@@ -280,8 +280,8 @@ pub fn matrix_transport_cost(pass: &PassPlan, matrix: &CostMatrix) -> u64 {
         consumers
     };
 
-    for t in 1..=pass.schedule.makespan() {
-        for (_, node) in pass.schedule.cycle_contents(t) {
+    for (t, nodes) in (0u32..).zip(pass.schedule.by_cycle()) {
+        for node in nodes {
             let mixer = mixer_of(node);
             // Gather operands.
             for op in pass.forest.node(node).operands() {

@@ -24,6 +24,7 @@
 //! benchmark, served traces and the profiler key on them (see `DESIGN.md`
 //! §12 and §17).
 
+use crate::plan::check_demand;
 use crate::{EngineConfig, EngineError, MixerBudget, PassPlan, StreamPlan};
 use dmf_mixalgo::{MinMix, MixingAlgorithm, Template};
 use dmf_mixgraph::MixGraph;
@@ -68,7 +69,7 @@ pub(crate) fn resolve_mixers(
         MixerBudget::Fixed(m) => Ok(m),
         MixerBudget::MmLowerBound => {
             let mm = MinMix.build_graph(target)?;
-            Ok(mixer_lower_bound(&mm)?)
+            Ok(mixer_lower_bound(&mm))
         }
     }
 }
@@ -102,15 +103,16 @@ impl<'a> PlanContext<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::ZeroDemand`] for `demand == 0`.
+    /// Returns [`EngineError::ZeroDemand`] for `demand == 0` and
+    /// [`EngineError::LimitExceeded`] for a demand above
+    /// [`crate::MAX_DEMAND`] — the same demand check as
+    /// [`crate::StreamingEngine::preflight`].
     pub fn new(
         config: EngineConfig,
         target: &'a TargetRatio,
         demand: u64,
     ) -> Result<Self, EngineError> {
-        if demand == 0 {
-            return Err(EngineError::ZeroDemand);
-        }
+        check_demand(demand)?;
         Ok(PlanContext { config, target, demand, template: None, mixers: None, passes: Vec::new() })
     }
 
@@ -349,6 +351,24 @@ mod tests {
         assert_eq!(plan.total_cycles, 11);
         assert_eq!(plan.storage_peak, 5);
         assert_eq!(plan.total_inputs, 25);
+    }
+
+    #[test]
+    fn a_context_checks_demand_like_preflight() {
+        let target = pcr_d4();
+        let open = |demand| PlanContext::new(EngineConfig::default(), &target, demand).err();
+        for demand in [0, crate::MAX_DEMAND, crate::MAX_DEMAND + 1, u64::MAX] {
+            let preflight = crate::StreamingEngine::preflight(&target, demand).err();
+            assert_eq!(open(demand), preflight, "D={demand}");
+        }
+        assert_eq!(
+            open(crate::MAX_DEMAND + 1),
+            Some(EngineError::LimitExceeded {
+                what: "demand",
+                requested: crate::MAX_DEMAND + 1,
+                limit: crate::MAX_DEMAND,
+            })
+        );
     }
 
     #[test]

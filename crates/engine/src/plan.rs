@@ -131,7 +131,8 @@ impl StreamingEngine {
     ///
     /// # Errors
     ///
-    /// Propagates base-tree construction and scheduling failures.
+    /// Propagates base-tree construction failures and rejects a fixed
+    /// budget above [`crate::MAX_MIXERS`].
     pub fn mixer_count(&self, target: &TargetRatio) -> Result<usize, EngineError> {
         crate::pipeline::resolve_mixers(&self.config, target)
     }
@@ -226,12 +227,9 @@ impl StreamingEngine {
 /// near 120 MB; the paper's exhibits ask for at most 32 droplets.
 pub const MAX_DEMAND: u64 = 1 << 20;
 
-/// The feasibility gate run before any planning work: zero demand keeps
-/// its historical typed error and a demand above [`MAX_DEMAND`] is
-/// rejected, then the dmf-check mixability pre-pass rejects CF vectors
-/// unreachable under the (1:1)-mix algebra. Infeasible requests never
-/// reach the planner — or the plan cache.
-fn preflight(target: &TargetRatio, demand: u64) -> Result<(), EngineError> {
+/// The demand bounds of every planning entry point: zero demand keeps its
+/// historical typed error and a demand above [`MAX_DEMAND`] is rejected.
+pub(crate) fn check_demand(demand: u64) -> Result<(), EngineError> {
     if demand == 0 {
         return Err(EngineError::ZeroDemand);
     }
@@ -242,6 +240,15 @@ fn preflight(target: &TargetRatio, demand: u64) -> Result<(), EngineError> {
             limit: MAX_DEMAND,
         });
     }
+    Ok(())
+}
+
+/// The feasibility gate run before any planning work: the demand bounds
+/// ([`check_demand`]), then the dmf-check mixability pre-pass rejects CF
+/// vectors unreachable under the (1:1)-mix algebra. Infeasible requests
+/// never reach the planner — or the plan cache.
+fn preflight(target: &TargetRatio, demand: u64) -> Result<(), EngineError> {
+    check_demand(demand)?;
     dmf_check::assert_feasible(target.parts(), demand)
         .map_err(|e| EngineError::Infeasible { rule: e.rule, what: e.message })
 }

@@ -100,12 +100,6 @@ impl<'a> Realizer<'a> {
         if storage.len() < pass.storage.peak {
             return Err(EngineError::StorageExhausted { available: storage.len() });
         }
-        let tc = pass.schedule.makespan() as usize;
-        let mut by_cycle: Vec<Vec<NodeId>> = vec![Vec::new(); tc + 1];
-        for t in 1..=tc as u32 {
-            by_cycle[t as usize] =
-                pass.schedule.cycle_contents(t).into_iter().map(|(_, n)| n).collect();
-        }
         Ok(Realizer {
             pass,
             chip,
@@ -119,7 +113,7 @@ impl<'a> Realizer<'a> {
             loc: HashMap::new(),
             reserved: HashMap::new(),
             produced: HashMap::new(),
-            by_cycle,
+            by_cycle: pass.schedule.by_cycle(),
         })
     }
 

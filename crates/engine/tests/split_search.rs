@@ -202,3 +202,32 @@ fn each_candidate_demand_is_built_once_per_plan() {
         assert_eq!(forest_builds, visited.len() + rebuilt, "q'={limit} D={demand}");
     }
 }
+
+#[test]
+fn a_default_plan_runs_no_oms_and_builds_minmix_twice() {
+    let _guard = GLOBAL_RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
+    let recorder = dmf_obs::global();
+    // Under the default `Mlb` budget the mixer count is Hu's bound in
+    // closed form: no OMS schedule runs. The two MinMix builds are the
+    // template and the base tree the bound is read from.
+    let pcr = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).unwrap();
+    let ex1 = protocols::pcr_master_mix_256().ratio;
+    for (config, target, demand) in [
+        (EngineConfig::default(), &pcr, 20),
+        (budgeted(3), &pcr, 29),
+        (EngineConfig::default(), &ex1, 32),
+    ] {
+        recorder.set_enabled(true);
+        let root = recorder.span("test_root");
+        let (trace_id, _) = root.ids().unwrap();
+        StreamingEngine::new(config).plan(target, demand).unwrap();
+        drop(root);
+        recorder.set_enabled(false);
+
+        let spans = recorder.trace_spans(trace_id);
+        let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
+        let case = format!("{target} D={demand} q'={:?}", config.storage_limit);
+        assert_eq!(count("sched_oms"), 0, "{case}");
+        assert_eq!(count("mixalgo_build"), 2, "{case}");
+    }
+}

@@ -1,5 +1,6 @@
+use crate::list::lowest_key_first;
 use crate::{SchedError, Schedule};
-use dmf_mixgraph::{MixGraph, NodeId, Operand};
+use dmf_mixgraph::{MixGraph, NodeId};
 use dmf_rng::{Rng, SeedableRng, SliceRandom, StdRng};
 
 /// Configuration of the genetic-algorithm scheduler.
@@ -74,9 +75,6 @@ pub fn ga_schedule(
     mixers: usize,
     config: &GaConfig,
 ) -> Result<Schedule, SchedError> {
-    if mixers == 0 {
-        return Err(SchedError::NoMixers);
-    }
     let n = graph.node_count();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let population = config.population.max(2);
@@ -96,14 +94,18 @@ pub fn ga_schedule(
         individuals.push(perm);
     }
 
-    let fitness = |priorities: &[u32]| -> (f64, Schedule) {
-        let schedule = decode(graph, mixers, priorities);
+    // Decoding is list scheduling with the chromosome as priority (lower
+    // value runs first).
+    let fitness = |priorities: &[u32]| -> Result<f64, SchedError> {
+        let schedule = lowest_key_first(graph, mixers, |i| priorities[i])?;
         let storage = schedule.storage(graph).peak as f64;
-        (f64::from(schedule.makespan()) + config.storage_weight * storage, schedule)
+        Ok(f64::from(schedule.makespan()) + config.storage_weight * storage)
     };
 
-    let mut scored: Vec<(f64, Vec<u32>)> =
-        individuals.into_iter().map(|ind| (fitness(&ind).0, ind)).collect();
+    let mut scored = Vec::with_capacity(population);
+    for ind in individuals {
+        scored.push((fitness(&ind)?, ind));
+    }
     for _ in 0..config.generations {
         let mut next: Vec<(f64, Vec<u32>)> = Vec::with_capacity(population);
         // Elitism: keep the best individual.
@@ -124,51 +126,17 @@ pub fn ga_schedule(
                     child.swap(i, j);
                 }
             }
-            let f = fitness(&child).0;
-            next.push((f, child));
+            next.push((fitness(&child)?, child));
         }
         scored = next;
     }
     // `scored` is never empty (population >= 2); decode the level-ordered
     // seed rather than panic if that invariant ever broke.
-    let best = scored.into_iter().min_by(|a, b| a.0.total_cmp(&b.0));
-    Ok(match best {
-        Some((_, priorities)) => decode(graph, mixers, &priorities),
-        None => decode(graph, mixers, &seed_priorities),
-    })
-}
-
-/// List-schedules with the chromosome as priority (lower value runs first).
-fn decode(graph: &MixGraph, mixers: usize, priorities: &[u32]) -> Schedule {
-    let n = graph.node_count();
-    let mut deps = vec![0usize; n];
-    for (id, node) in graph.iter() {
-        deps[id.index()] =
-            node.operands().iter().filter(|op| matches!(op, Operand::Droplet(_))).count();
-    }
-    let mut node_cycle = vec![0u32; n];
-    let mut node_mixer = vec![0u32; n];
-    let mut ready: Vec<usize> = (0..n).filter(|&i| deps[i] == 0).collect();
-    let mut scheduled = 0usize;
-    let mut t = 1u32;
-    while scheduled < n {
-        ready.sort_by_key(|&i| (priorities[i], i));
-        let take = ready.len().min(mixers);
-        let batch: Vec<usize> = ready.drain(..take).collect();
-        for (mixer, &i) in batch.iter().enumerate() {
-            node_cycle[i] = t;
-            node_mixer[i] = mixer as u32;
-            scheduled += 1;
-            for &c in graph.consumers(NodeId::new(i as u32)) {
-                deps[c.index()] -= 1;
-                if deps[c.index()] == 0 {
-                    ready.push(c.index());
-                }
-            }
-        }
-        t += 1;
-    }
-    Schedule::from_assignments(mixers, node_cycle, node_mixer)
+    let best = scored
+        .into_iter()
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .map_or(seed_priorities, |(_, priorities)| priorities);
+    lowest_key_first(graph, mixers, |i| best[i])
 }
 
 fn tournament<'a>(

@@ -1,5 +1,7 @@
+use crate::list::lowest_key_first;
 use crate::{SchedError, Schedule};
-use dmf_mixgraph::{MixGraph, NodeId, Operand};
+use dmf_mixgraph::{MixGraph, NodeId};
+use std::cmp::Reverse;
 
 /// Length of the longest precedence chain — the makespan lower bound
 /// achieved with unlimited mixers (equals the structural depth `d` of a
@@ -38,59 +40,36 @@ pub fn critical_path(graph: &MixGraph) -> u32 {
 /// ```
 pub fn oms_schedule(graph: &MixGraph, mixers: usize) -> Result<Schedule, SchedError> {
     let _span = dmf_obs::span!("sched_oms");
-    if mixers == 0 {
-        return Err(SchedError::NoMixers);
-    }
-    let n = graph.node_count();
-    // Hu levels: longest distance to a root, computed consumers-first.
-    // Arena order is topological (operands precede consumers), so a reverse
-    // sweep sees every consumer before its producer.
-    let mut hu_level = vec![0u32; n];
-    for i in (0..n).rev() {
-        let id = NodeId::new(i as u32);
-        for &c in graph.consumers(id) {
-            hu_level[i] = hu_level[i].max(hu_level[c.index()] + 1);
+    let level = hu_levels(graph);
+    lowest_key_first(graph, mixers, |i| Reverse(level[i]))
+}
+
+/// Hu levels in arena order: each vertex's longest distance to a root
+/// (roots are level 0).
+fn hu_levels(graph: &MixGraph) -> Vec<u32> {
+    // Arena order is topological (operands precede consumers), so a
+    // reverse sweep sees every consumer before its producer.
+    let mut level = vec![0u32; graph.node_count()];
+    for i in (0..level.len()).rev() {
+        for &c in graph.consumers(NodeId::new(i as u32)) {
+            level[i] = level[i].max(level[c.index()] + 1);
         }
     }
-    let mut deps = vec![0usize; n];
-    for (id, node) in graph.iter() {
-        deps[id.index()] =
-            node.operands().iter().filter(|op| matches!(op, Operand::Droplet(_))).count();
-    }
-    let mut node_cycle = vec![0u32; n];
-    let mut node_mixer = vec![0u32; n];
-    // Ready list kept sorted by (hu_level desc, index asc).
-    let mut ready: Vec<usize> = (0..n).filter(|&i| deps[i] == 0).collect();
-    let mut scheduled = 0usize;
-    let mut t = 1u32;
-    while scheduled < n {
-        ready.sort_by_key(|&i| (std::cmp::Reverse(hu_level[i]), i));
-        let take = ready.len().min(mixers);
-        let batch: Vec<usize> = ready.drain(..take).collect();
-        debug_assert!(!batch.is_empty(), "a DAG always has a ready vertex");
-        for (mixer, &i) in batch.iter().enumerate() {
-            node_cycle[i] = t;
-            node_mixer[i] = mixer as u32;
-            scheduled += 1;
-            for &c in graph.consumers(NodeId::new(i as u32)) {
-                deps[c.index()] -= 1;
-                if deps[c.index()] == 0 {
-                    ready.push(c.index());
-                }
-            }
-        }
-        t += 1;
-    }
-    Ok(Schedule::from_assignments(mixers, node_cycle, node_mixer))
+    level
 }
 
 /// The paper's `Mlb`: the fewest on-chip mixers for which the tree still
 /// completes in its critical-path time (the "minimum number of mixers needed
 /// for fastest execution").
 ///
-/// # Errors
-///
-/// Propagates scheduling failures (none in practice for valid graphs).
+/// Hu's counting bound in closed form: with `L` levels, the `Nₖ` vertices
+/// of the `k` highest Hu levels all lie `≥ L − k` steps below a root, so a
+/// makespan of `L` must run them in the first `k` cycles, which needs
+/// `m·k ≥ Nₖ`. Hence `Mlb = maxₖ ⌈Nₖ / k⌉`. On an in-tree (every MinMix
+/// base tree, the engine's only use) the bound is exact: highest-level-first
+/// scheduling with that many mixers meets the critical path (Hu 1961). On a
+/// DAG with shared droplets it is still a lower bound that HLF may miss.
+/// An empty graph needs one mixer.
 ///
 /// # Examples
 ///
@@ -103,24 +82,24 @@ pub fn oms_schedule(graph: &MixGraph, mixers: usize) -> Result<Schedule, SchedEr
 /// // The paper's PCR base tree needs three mixers (§5).
 /// let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9])?;
 /// let tree = MinMix.build_graph(&target)?;
-/// assert_eq!(mixer_lower_bound(&tree)?, 3);
+/// assert_eq!(mixer_lower_bound(&tree), 3);
 /// # Ok(())
 /// # }
 /// ```
-pub fn mixer_lower_bound(graph: &MixGraph) -> Result<usize, SchedError> {
-    let bound = critical_path(graph);
-    // Width of the widest structural level caps the useful mixer count.
-    let mut width = std::collections::HashMap::new();
-    for (_, node) in graph.iter() {
-        *width.entry(node.level()).or_insert(0usize) += 1;
+pub fn mixer_lower_bound(graph: &MixGraph) -> usize {
+    let levels = hu_levels(graph);
+    let mut width = vec![0usize; levels.iter().max().map_or(0, |&h| h as usize + 1)];
+    for &h in &levels {
+        width[h as usize] += 1;
     }
-    let max_width = width.values().copied().max().unwrap_or(1).max(1);
-    for m in 1..=max_width {
-        if oms_schedule(graph, m)?.makespan() == bound {
-            return Ok(m);
-        }
+    // Walk the levels from the highest down: `above` is Nₖ.
+    let mut above = 0;
+    let mut bound = 1;
+    for (k, w) in (1..).zip(width.iter().rev()) {
+        above += w;
+        bound = bound.max(above.div_ceil(k));
     }
-    Ok(max_width)
+    bound
 }
 
 #[cfg(test)]
@@ -153,7 +132,7 @@ mod tests {
     #[test]
     fn pcr_mlb_is_three_matching_section5() {
         let g = pcr_tree();
-        assert_eq!(mixer_lower_bound(&g).unwrap(), 3);
+        assert_eq!(mixer_lower_bound(&g), 3);
         let s = oms_schedule(&g, 3).unwrap();
         assert_eq!(s.makespan(), 4);
         // Two mixers cannot reach the critical path.

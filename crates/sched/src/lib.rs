@@ -11,13 +11,20 @@
 //!   in-forest precedence on identical machines, Hu's highest-level-first
 //!   rule is makespan-optimal, so this is implemented as HLF list scheduling
 //!   (see `DESIGN.md` §5 for the substitution argument). [`mixer_lower_bound`]
-//!   computes `Mlb`, the fewest mixers achieving the critical-path makespan.
+//!   computes `Mlb`, the fewest mixers achieving the critical-path makespan,
+//!   in closed form from the tree's Hu levels (Hu's counting bound, exact on
+//!   in-trees) — no schedule runs.
 //! * [`mms_schedule`] — `M_Mixers_Schedule` (Algorithm 1): level-synchronous
 //!   FIFO scheduling of a mixing forest, latency-oriented.
 //! * [`srs_schedule`] — `Storage_Reduced_Scheduling` (Algorithm 2):
 //!   two-queue priority scheduling that defers reservoir-fed mixes
 //!   (Type-C) in favour of mixes consuming stored droplets (Type-A/B),
 //!   trading a slightly longer completion time for fewer storage units.
+//!
+//! These three and the path and GA schedulers below are list scheduling
+//! over one shared loop: each cycle it releases the vertices whose
+//! operands are produced and runs at most `Mc` of them, and the five
+//! differ only in which ready vertices they pick (`DESIGN.md` §3.7).
 //!
 //! Storage accounting generalises `Counting_Storage_Units` (Algorithm 3) to
 //! forest DAGs: every produced droplet occupies one storage unit from the
@@ -63,6 +70,7 @@ mod error;
 mod ga;
 mod gantt;
 mod hu;
+mod list;
 mod mms;
 mod optimal;
 mod path;

@@ -1,20 +1,22 @@
+use crate::list::list_schedule;
 use crate::{SchedError, Schedule};
-use dmf_mixgraph::{MixGraph, NodeId, Operand};
+use dmf_mixgraph::{MixGraph, NodeId};
 use std::collections::VecDeque;
 
 /// `M_Mixers_Schedule` (paper Algorithm 1): level-synchronous FIFO
 /// scheduling of a mixing forest with `mixers` on-chip mixers.
 ///
-/// For each level `ℓ = 1..d` the newly schedulable vertices (those whose
-/// operand droplets are already produced or come straight from reservoirs)
-/// are appended to a FIFO queue ordered from level `ℓ` upwards, and up to
-/// `Mc` vertices are dispatched per time-cycle; after the level sweep the
-/// queue is drained at `Mc` vertices per cycle.
+/// Each time-cycle the newly schedulable vertices (those whose operand
+/// droplets are already produced or come straight from reservoirs) are
+/// appended to a FIFO queue ordered by ascending level, and up to `Mc`
+/// vertices are dispatched from its front.
 ///
-/// *Fidelity note*: the paper's pseudo-code stops enqueuing new schedulable
-/// vertices in the drain loop, which starves vertices that only become
-/// schedulable late when `Mc` is small; we keep enqueuing newly schedulable
-/// vertices while draining, which is the evident intent (see DESIGN.md §3.7).
+/// *Fidelity note*: the paper sweeps the levels `ℓ = 1..d` and then drains
+/// the queue, and its pseudo-code stops enqueuing new schedulable vertices
+/// in the drain loop, which starves vertices that only become schedulable
+/// late when `Mc` is small. We keep enqueuing while draining, which is the
+/// evident intent; the sweep and the drain then run the same step, so one
+/// loop does both (see DESIGN.md §3.7).
 ///
 /// MMS is the latency-oriented scheduler: it completes no later than
 /// [`crate::srs_schedule`] but typically holds more droplets in storage.
@@ -42,56 +44,15 @@ use std::collections::VecDeque;
 /// ```
 pub fn mms_schedule(graph: &MixGraph, mixers: usize) -> Result<Schedule, SchedError> {
     let _span = dmf_obs::span!("sched_mms");
-    if mixers == 0 {
-        return Err(SchedError::NoMixers);
-    }
-    let n = graph.node_count();
-    let d = graph.depth();
-    let mut deps = vec![0usize; n];
-    for (id, node) in graph.iter() {
-        deps[id.index()] =
-            node.operands().iter().filter(|op| matches!(op, Operand::Droplet(_))).count();
-    }
-    let mut node_cycle = vec![0u32; n];
-    let mut node_mixer = vec![0u32; n];
     let mut queue: VecDeque<usize> = VecDeque::new();
-    // Vertices freed since the previous cycle, pending enqueue.
-    let mut fresh: Vec<usize> = (0..n).filter(|&i| deps[i] == 0).collect();
-    let mut scheduled = 0usize;
-    let mut t = 1u32;
-
-    let mut step = |queue: &mut VecDeque<usize>,
-                    fresh: &mut Vec<usize>,
-                    scheduled: &mut usize,
-                    deps: &mut Vec<usize>,
-                    t: u32| {
+    list_schedule(graph, mixers, |fresh, batch| {
         // "Enqueue all new schedulable nodes ordered from level ℓ upwards":
-        // ascending level, insertion order as the tie-break.
-        fresh.sort_by_key(|&i| (graph.node(NodeId::new(i as u32)).level(), i));
+        // ascending level, arena index as the tie-break.
+        fresh.sort_unstable_by_key(|&i| (graph.node(NodeId::new(i as u32)).level(), i));
         queue.extend(fresh.drain(..));
-        for mixer in 0..mixers {
-            let Some(i) = queue.pop_front() else { break };
-            node_cycle[i] = t;
-            node_mixer[i] = mixer as u32;
-            *scheduled += 1;
-            for &c in graph.consumers(NodeId::new(i as u32)) {
-                deps[c.index()] -= 1;
-                if deps[c.index()] == 0 {
-                    fresh.push(c.index());
-                }
-            }
-        }
-    };
-
-    for _level in 1..=d {
-        step(&mut queue, &mut fresh, &mut scheduled, &mut deps, t);
-        t += 1;
-    }
-    while scheduled < n {
-        step(&mut queue, &mut fresh, &mut scheduled, &mut deps, t);
-        t += 1;
-    }
-    Ok(Schedule::from_assignments(mixers, node_cycle, node_mixer))
+        let take = queue.len().min(mixers);
+        batch.extend(queue.drain(..take));
+    })
 }
 
 #[cfg(test)]
@@ -145,7 +106,7 @@ mod tests {
 
     #[test]
     fn makespan_never_below_level_count() {
-        // The level sweep burns one cycle per level by construction.
+        // A chain through every level runs one level per cycle.
         let g = pcr_forest(16);
         let s = mms_schedule(&g, 16).unwrap();
         assert!(s.makespan() >= g.depth());

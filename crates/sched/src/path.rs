@@ -1,3 +1,4 @@
+use crate::list::lowest_key_first;
 use crate::{SchedError, Schedule};
 use dmf_mixgraph::{MixGraph, NodeId, Operand};
 
@@ -34,9 +35,6 @@ use dmf_mixgraph::{MixGraph, NodeId, Operand};
 /// # }
 /// ```
 pub fn path_schedule(graph: &MixGraph, mixers: usize) -> Result<Schedule, SchedError> {
-    if mixers == 0 {
-        return Err(SchedError::NoMixers);
-    }
     let n = graph.node_count();
     // Depth-first completion order over every component tree: children
     // (subtree producers) complete immediately before their parent.
@@ -63,35 +61,7 @@ pub fn path_schedule(graph: &MixGraph, mixers: usize) -> Result<Schedule, SchedE
             }
         }
     }
-    // List-schedule by DFS rank.
-    let mut deps = vec![0usize; n];
-    for (id, node) in graph.iter() {
-        deps[id.index()] =
-            node.operands().iter().filter(|op| matches!(op, Operand::Droplet(_))).count();
-    }
-    let mut node_cycle = vec![0u32; n];
-    let mut node_mixer = vec![0u32; n];
-    let mut ready: Vec<usize> = (0..n).filter(|&i| deps[i] == 0).collect();
-    let mut scheduled = 0usize;
-    let mut t = 1u32;
-    while scheduled < n {
-        ready.sort_by_key(|&i| (priority[i], i));
-        let take = ready.len().min(mixers);
-        let batch: Vec<usize> = ready.drain(..take).collect();
-        for (mixer, &i) in batch.iter().enumerate() {
-            node_cycle[i] = t;
-            node_mixer[i] = mixer as u32;
-            scheduled += 1;
-            for &c in graph.consumers(NodeId::new(i as u32)) {
-                deps[c.index()] -= 1;
-                if deps[c.index()] == 0 {
-                    ready.push(c.index());
-                }
-            }
-        }
-        t += 1;
-    }
-    Ok(Schedule::from_assignments(mixers, node_cycle, node_mixer))
+    lowest_key_first(graph, mixers, |i| priority[i])
 }
 
 #[cfg(test)]

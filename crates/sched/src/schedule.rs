@@ -27,15 +27,6 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    pub(crate) fn from_assignments(
-        mixers: usize,
-        node_cycle: Vec<u32>,
-        node_mixer: Vec<u32>,
-    ) -> Self {
-        let makespan = node_cycle.iter().copied().max().unwrap_or(0);
-        Schedule { mixers, node_cycle, node_mixer, makespan }
-    }
-
     /// Builds a schedule from raw per-node cycle and mixer assignments
     /// (`node_cycle[i]` / `node_mixer[i]` belong to the node with arena
     /// index `i`; cycles are 1-based).
@@ -46,7 +37,8 @@ impl Schedule {
     /// [`Schedule::validate`] or `dmf-check`'s `check_schedule` before
     /// trusting the result.
     pub fn from_parts(mixers: usize, node_cycle: Vec<u32>, node_mixer: Vec<u32>) -> Self {
-        Schedule::from_assignments(mixers, node_cycle, node_mixer)
+        let makespan = node_cycle.iter().copied().max().unwrap_or(0);
+        Schedule { mixers, node_cycle, node_mixer, makespan }
     }
 
     /// Raw per-node assignments `(cycle, mixer)` in arena order — the
@@ -93,17 +85,19 @@ impl Schedule {
         MixerId(self.node_mixer[id.index()] as usize)
     }
 
-    /// The vertices executed in `cycle`, ordered by mixer index.
-    pub fn cycle_contents(&self, cycle: u32) -> Vec<(MixerId, NodeId)> {
-        let mut v: Vec<(MixerId, NodeId)> = self
-            .node_cycle
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c == cycle)
-            .map(|(i, _)| (MixerId(self.node_mixer[i] as usize), NodeId::new(i as u32)))
-            .collect();
-        v.sort();
-        v
+    /// The vertices of every cycle, bucketed in one pass: entry `t` lists
+    /// the vertices executed in cycle `t`, ordered by mixer index, for
+    /// `t` in `1..=makespan` (entry 0 holds unscheduled vertices, so it is
+    /// empty for a valid schedule).
+    pub fn by_cycle(&self) -> Vec<Vec<NodeId>> {
+        let mut cycles = vec![Vec::new(); self.makespan as usize + 1];
+        for (i, &cycle) in self.node_cycle.iter().enumerate() {
+            cycles[cycle as usize].push(NodeId::new(i as u32));
+        }
+        for nodes in &mut cycles {
+            nodes.sort_by_key(|&node| self.node_mixer[node.index()]);
+        }
+        cycles
     }
 
     /// Cycles at which target droplets are emitted (one entry per component
@@ -184,7 +178,7 @@ impl Schedule {
 
 #[cfg(test)]
 mod tests {
-    use crate::srs_schedule;
+    use crate::{srs_schedule, MixerId};
     use dmf_forest::{build_forest, ReusePolicy};
     use dmf_mixalgo::{MinMix, MixingAlgorithm};
     use dmf_ratio::TargetRatio;
@@ -208,18 +202,24 @@ mod tests {
     }
 
     #[test]
-    fn cycle_contents_round_trips_assignments() {
-        let target = TargetRatio::new(vec![3, 5]).unwrap();
-        let tree = MinMix.build_graph(&target).unwrap();
-        let schedule = crate::oms_schedule(&tree, 2).unwrap();
+    fn by_cycle_round_trips_assignments() {
+        let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).unwrap();
+        let template = MinMix.build_template(&target).unwrap();
+        let forest = build_forest(&template, &target, 20, ReusePolicy::AcrossTrees).unwrap();
+        let schedule = srs_schedule(&forest, 3).unwrap();
+        let cycles = schedule.by_cycle();
+        assert!(cycles.iter().any(|nodes| nodes.len() == 3));
+        assert_eq!(cycles.len(), schedule.makespan() as usize + 1);
+        assert!(cycles[0].is_empty());
         let mut seen = 0;
-        for t in 1..=schedule.makespan() {
-            for (mixer, node) in schedule.cycle_contents(t) {
-                assert_eq!(schedule.cycle_of(node), t);
-                assert_eq!(schedule.mixer_of(node), mixer);
+        for (t, nodes) in cycles.iter().enumerate() {
+            let mixers: Vec<MixerId> = nodes.iter().map(|&n| schedule.mixer_of(n)).collect();
+            assert!(mixers.windows(2).all(|w| w[0] < w[1]), "cycle {t}: {mixers:?}");
+            for &node in nodes {
+                assert_eq!(schedule.cycle_of(node) as usize, t);
                 seen += 1;
             }
         }
-        assert_eq!(seen, tree.node_count());
+        assert_eq!(seen, forest.node_count());
     }
 }

@@ -1,3 +1,4 @@
+use crate::list::list_schedule;
 use crate::{SchedError, Schedule};
 use dmf_mixgraph::{MixGraph, NodeId, Operand};
 use std::cmp::Reverse;
@@ -43,88 +44,34 @@ use std::collections::BinaryHeap;
 /// ```
 pub fn srs_schedule(graph: &MixGraph, mixers: usize) -> Result<Schedule, SchedError> {
     let _span = dmf_obs::span!("sched_srs");
-    if mixers == 0 {
-        return Err(SchedError::NoMixers);
-    }
-    let n = graph.node_count();
-    let mut deps = vec![0usize; n];
-    for (id, node) in graph.iter() {
-        deps[id.index()] =
-            node.operands().iter().filter(|op| matches!(op, Operand::Droplet(_))).count();
-    }
-    let mut node_cycle = vec![0u32; n];
-    let mut node_mixer = vec![0u32; n];
     // Qint: higher level first; Qleaf: lower level first. Ties broken by
-    // arrival order (sequence number) to stay deterministic.
+    // arrival order (sequence number, an index into `by_seq`) to stay
+    // deterministic.
     let mut q_int: BinaryHeap<(u32, Reverse<usize>)> = BinaryHeap::new();
     let mut q_leaf: BinaryHeap<(Reverse<u32>, Reverse<usize>)> = BinaryHeap::new();
-    let mut seq = vec![0usize; n];
-    let mut next_seq = 0usize;
-
-    let classify = |i: usize| -> bool {
-        // true => Type-C (both operands reservoir inputs).
-        graph
-            .node(NodeId::new(i as u32))
-            .operands()
-            .iter()
-            .all(|op| matches!(op, Operand::Input(_)))
-    };
-    let enqueue = |i: usize,
-                   q_int: &mut BinaryHeap<(u32, Reverse<usize>)>,
-                   q_leaf: &mut BinaryHeap<(Reverse<u32>, Reverse<usize>)>,
-                   next_seq: &mut usize,
-                   seq: &mut Vec<usize>| {
-        seq[i] = *next_seq;
-        *next_seq += 1;
-        let level = graph.node(NodeId::new(i as u32)).level();
-        if classify(i) {
-            q_leaf.push((Reverse(level), Reverse(seq[i])));
-        } else {
-            q_int.push((level, Reverse(seq[i])));
-        }
-    };
-    // seq -> node index reverse map, filled on enqueue.
     let mut by_seq: Vec<usize> = Vec::new();
-
-    let mut fresh: Vec<usize> = (0..n).filter(|&i| deps[i] == 0).collect();
-    let mut scheduled = 0usize;
-    let mut t = 1u32;
-    while scheduled < n {
+    list_schedule(graph, mixers, |fresh, batch| {
         fresh.sort_unstable();
         for i in fresh.drain(..) {
-            enqueue(i, &mut q_int, &mut q_leaf, &mut next_seq, &mut seq);
+            let seq = Reverse(by_seq.len());
             by_seq.push(i);
-        }
-        let mut batch: Vec<usize> = Vec::with_capacity(mixers);
-        while batch.len() < mixers {
-            if let Some((_, Reverse(s))) = q_int.pop() {
-                batch.push(by_seq[s]);
+            let node = graph.node(NodeId::new(i as u32));
+            // Type-C: both operands are reservoir inputs.
+            if node.operands().iter().all(|op| matches!(op, Operand::Input(_))) {
+                q_leaf.push((Reverse(node.level()), seq));
             } else {
-                break;
+                q_int.push((node.level(), seq));
             }
         }
         while batch.len() < mixers {
-            if let Some((_, Reverse(s))) = q_leaf.pop() {
-                batch.push(by_seq[s]);
-            } else {
+            let Some(Reverse(seq)) =
+                q_int.pop().map(|(_, s)| s).or_else(|| q_leaf.pop().map(|(_, s)| s))
+            else {
                 break;
-            }
+            };
+            batch.push(by_seq[seq]);
         }
-        debug_assert!(!batch.is_empty(), "a DAG always has a schedulable vertex");
-        for (mixer, &i) in batch.iter().enumerate() {
-            node_cycle[i] = t;
-            node_mixer[i] = mixer as u32;
-            scheduled += 1;
-            for &c in graph.consumers(NodeId::new(i as u32)) {
-                deps[c.index()] -= 1;
-                if deps[c.index()] == 0 {
-                    fresh.push(c.index());
-                }
-            }
-        }
-        t += 1;
-    }
-    Ok(Schedule::from_assignments(mixers, node_cycle, node_mixer))
+    })
 }
 
 #[cfg(test)]

@@ -55,14 +55,14 @@ mod tests {
         let g = b.finish(&target).unwrap();
 
         // Schedule with a two-cycle gap: inner at 1, root at 4.
-        let s = Schedule::from_assignments(1, vec![1, 4], vec![0, 0]);
+        let s = Schedule::from_parts(1, vec![1, 4], vec![0, 0]);
         s.validate(&g).unwrap();
         let profile = s.storage(&g);
         assert_eq!(profile.occupancy, vec![0, 1, 1, 0]);
         assert_eq!(profile.peak, 1);
 
         // Back-to-back execution needs no storage.
-        let tight = Schedule::from_assignments(1, vec![1, 2], vec![0, 0]);
+        let tight = Schedule::from_parts(1, vec![1, 2], vec![0, 0]);
         assert_eq!(tight.storage(&g).peak, 0);
     }
 
@@ -80,7 +80,7 @@ mod tests {
 
         // inner at 1, r1 at 3, r2 at 4: droplet A waits cycle 2,
         // droplet B waits cycles 2 and 3 => peak 2 at cycle 2.
-        let s = Schedule::from_assignments(1, vec![1, 3, 4], vec![0, 0, 0]);
+        let s = Schedule::from_parts(1, vec![1, 3, 4], vec![0, 0, 0]);
         s.validate(&g).unwrap();
         let profile = s.storage(&g);
         assert_eq!(profile.occupancy, vec![0, 2, 1, 0]);
@@ -97,7 +97,7 @@ mod tests {
         let g = b.finish(&target).unwrap();
 
         // Precedence violation: root before inner.
-        let s = Schedule::from_assignments(1, vec![2, 1], vec![0, 0]);
+        let s = Schedule::from_parts(1, vec![2, 1], vec![0, 0]);
         assert!(matches!(
             s.validate(&g),
             Err(crate::SchedError::PrecedenceViolated { node, .. }) if node == NodeId::new(1)
@@ -111,7 +111,7 @@ mod tests {
         let c = b2.mix(Operand::Input(FluidId(0)), Operand::Input(FluidId(1))).unwrap();
         b2.finish_tree(c);
         let g2 = b2.finish(&TargetRatio::new(vec![1, 1]).unwrap()).unwrap();
-        let s2 = Schedule::from_assignments(2, vec![1, 1], vec![0, 0]);
+        let s2 = Schedule::from_parts(2, vec![1, 1], vec![0, 0]);
         assert!(matches!(s2.validate(&g2), Err(crate::SchedError::MixerConflict { .. })));
     }
 }

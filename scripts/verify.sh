@@ -43,6 +43,10 @@ echo "==> dilution_engine golden (the two-fluid streams and the gradient, planne
 cargo run --release -q --example dilution_engine > /tmp/dmf_dilution_engine.txt
 diff results/dilution_engine.txt /tmp/dmf_dilution_engine.txt
 
+echo "==> ablation_schedulers golden (MMS, SRS, HLF, path and GA over the default 150-ratio sample must match results/ablation_schedulers.txt byte for byte)"
+cargo run --release -q -p dmf-bench --bin ablation_schedulers > /tmp/dmf_ablation_schedulers.txt
+diff results/ablation_schedulers.txt /tmp/dmf_ablation_schedulers.txt
+
 echo "==> fault_sweep smoke (fixed seed, all five protocols must meet demand)"
 cargo run --release -q -p dmf-bench --bin fault_sweep -- --seed 42 --fault-rate 0.05 --trials 1 >/dev/null
 

@@ -62,7 +62,7 @@ fn fig3_fig4_srs_schedule() {
 #[test]
 fn section5_mlb_is_three() {
     let tree = MinMix.build_graph(&pcr_d4()).unwrap();
-    assert_eq!(mixer_lower_bound(&tree).unwrap(), 3);
+    assert_eq!(mixer_lower_bound(&tree), 3);
     assert_eq!(oms_schedule(&tree, 3).unwrap().makespan(), 4);
 }
 
